@@ -24,15 +24,15 @@ Backend methods may be sync or async — the plane awaits coroutines and
 passes plain values through — so each backend uses whichever is natural
 (a router's drain must round-trip to a worker; a server's is a state
 flip).  Reads are pure observation.  The two mutations are *durable by
-construction*: force-release is injected into the shard dispatch queues
-as a first-class ``release`` frame, so it rides the WAL, lands in the
-applied trace as a replayable event, and carries the standard
+construction*: force-release is applied through the server's normal
+mutation path as a first-class ``release``, so it rides the WAL, lands
+in the applied trace as a replayable event, and carries the standard
 retry-dedup identity — an admin mutation survives ``kill -9`` with
 exactly-once semantics, same as any client op.
 
 ``/leases`` pagination is offset/limit over a stably sorted book
 (resource, tenant, lease_id), so pages are consistent within one
-barrier snapshot.
+snapshot of the book.
 """
 
 from __future__ import annotations

@@ -1226,7 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine_serve.add_argument("--resources", type=int, default=8,
                               help="resource id space [0, N)")
     engine_serve.add_argument("--shards", type=int, default=4,
-                              help="shard brokers (each its own dispatch queue)")
+                              help="shard brokers (one per contiguous resource range)")
     engine_serve.add_argument("--num-types", type=int, default=4)
     engine_serve.add_argument(
         "--cost-growth", type=float, default=2.0,

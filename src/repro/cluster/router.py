@@ -15,7 +15,7 @@ one ``writelines``) and a reader that relays responses back to the
 owning client connection, ids rewritten.  A client connection's frames
 are routed *synchronously in read order*, so two ops from the same
 tenant to the same worker stay ordered end to end — the same
-serialization the single server's shard queues provide.  ``tick``
+serialization the single server's read-order apply provides.  ``tick``
 broadcasts to every worker (the shared clock skeleton); the barrier
 reads (``stats`` / ``report`` / ``trace``) ride the same links after any
 already-routed mutations, so they observe everything enqueued before

@@ -24,7 +24,7 @@ process's own death, ``kill -9`` included — the moment :meth:`append`
 returns, under every fsync mode.  The **fsync policy** (``fsync=``)
 therefore only governs durability against a *host* crash: ``"off"``
 never fsyncs, ``"batch"`` group-commits an fsync at burst boundaries
-(when a shard's dispatch queue drains) at most every
+(the end of each server read batch) at most every
 :data:`BATCH_SYNC_INTERVAL` seconds, and ``"always"`` fsyncs every
 append before the caller acks.  Only ``"always"`` makes an acked
 operation power-loss durable; ``"batch"`` bounds that loss window to
@@ -46,6 +46,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from ..errors import ModelError
 from ..serve.protocol import (
@@ -105,6 +106,8 @@ class ShardWal:
             when given, appends/fsyncs/bytes/snapshots are counted under
             a ``shard`` label.
         shard: label value for the metrics series.
+        clock: monotonic-seconds source for the group-commit interval;
+            injectable for tests.
     """
 
     def __init__(
@@ -113,8 +116,10 @@ class ShardWal:
         fsync: str = "batch",
         metrics=None,
         shard: int | str = 0,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.fsync = require_fsync_mode(fsync)
+        self.clock = clock
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.log_path = self.directory / WAL_FILE
@@ -132,7 +137,7 @@ class ShardWal:
         # Group-commit clock starts at open: the first sync lands once
         # the interval elapses, so the loss window is bounded from the
         # first append without paying an fsync on the first boundary.
-        self._last_sync = time.monotonic()
+        self._last_sync = clock()
         if metrics is not None:
             label = str(shard)
             self._appends = metrics.counter(
@@ -197,11 +202,11 @@ class ShardWal:
     def _sync(self) -> None:
         os.fsync(self._handle.fileno())
         self._dirty = False
-        self._last_sync = time.monotonic()
+        self._last_sync = self.clock()
         if self._fsyncs is not None:
             self._fsyncs.inc()
 
-    def flush(self) -> None:
+    def flush(self) -> float | None:
         """Batch boundary: maybe group-commit an fsync.
 
         Appends already sit in the page cache (the handle is
@@ -210,13 +215,18 @@ class ShardWal:
         busy server's boundaries can arrive per-request, and syncing
         each would turn batch mode into ``"always"``.  ``"off"`` and
         ``"always"`` have nothing to do.
+
+        Returns the seconds until a skipped sync falls due — the caller
+        must flush again by then, or a tail followed by silence is never
+        synced — and ``None`` when nothing is waiting for a sync.
         """
-        if (
-            self._dirty
-            and self.fsync == "batch"
-            and time.monotonic() - self._last_sync >= BATCH_SYNC_INTERVAL
-        ):
-            self._sync()
+        if not self._dirty or self.fsync != "batch":
+            return None
+        wait = BATCH_SYNC_INTERVAL - (self.clock() - self._last_sync)
+        if wait > 0:
+            return wait
+        self._sync()
+        return None
 
     # ------------------------------------------------------------------
     # Snapshots and truncation

@@ -620,7 +620,7 @@ def measure_p06(mode: str = "smoke") -> dict:
     Three arms per round, interleaved so machine drift hits them all:
 
     * ``off`` — no WAL at all: the library default, the baseline.
-    * ``batch`` — WAL on, fsync at dispatch-queue drain: the ``engine
+    * ``batch`` — WAL on, fsync at read-batch boundaries: the ``engine
       serve --wal-dir`` default.  This is the gated arm — batched
       durability must keep at least :data:`DURABLE_BATCH_FLOOR` of the
       WAL-off rate from the same run.

@@ -1,9 +1,9 @@
 """Scrape-time exporters: fold serving state into a metrics registry.
 
 The ``metrics`` protocol verb is a *scrape*, not a stream: the server
-(or the cluster router, for every worker it fronts) broadcasts the
-internal ``stats`` barrier op, then folds the returned per-shard
-payloads into a fresh registry with these exporters before rendering.
+reads its per-shard ``stats`` payloads (the cluster router collects them
+from every worker it fronts), then folds them into a fresh registry
+with these exporters before rendering.
 Broker counters therefore cost nothing on the hot path — they are read
 once per scrape from the counters the broker already keeps — while the
 continuously sampled families (latency histograms, byte counters) render
@@ -37,11 +37,6 @@ _SHARD_GAUGES = (
         "broker_expiry_heap_size",
         "Entries in the shard broker's expiry heap (including stale).",
     ),
-    (
-        "queue_depth",
-        "serve_queue_depth",
-        "Requests waiting in the shard's dispatch queue at scrape time.",
-    ),
 )
 
 
@@ -50,7 +45,7 @@ def export_shards(
 ) -> None:
     """Fold per-shard ``stats`` payloads into ``registry``.
 
-    ``shards`` is the list the ``stats`` broadcast returns; every broker
+    ``shards`` is the list a ``stats`` reply carries; every broker
     counter in the payload's ``stats_full`` dict becomes a
     ``broker_<name>_total`` counter and the structural levels become
     gauges, each labeled ``shard="<index>"`` plus any extra ``labels``

@@ -10,8 +10,8 @@ sharing one Python call stack.
   shutdown``) with request ids and typed error frames.
 * :mod:`repro.serve.server` — :class:`LeaseServer`, an asyncio TCP +
   unix-socket server that owns one broker per resource shard (PR 2's
-  shard ranges) and serializes every mutation through that shard's
-  dispatch queue; :class:`ServerThread` hosts its loop for sync callers.
+  shard ranges) and applies every mutation to its shard's broker in
+  read order; :class:`ServerThread` hosts its loop for sync callers.
 * :mod:`repro.serve.client` — :class:`AsyncLeaseClient` (pipelined) and
   :class:`AsyncClientPool`, plus the blocking reconnecting
   :class:`LeaseClient`.

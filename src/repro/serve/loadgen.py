@@ -314,8 +314,8 @@ async def drive_tenants_direct(
     the fleet bulk-synchronously — the day's tick is awaited on the
     control connection *before* any tenant fires, and the tick barrier
     completes on every worker before it answers, so every direct
-    mutation a tenant then sends lands behind the tick in its worker's
-    dispatch queue; the releases/acquires phase barriers do the rest.
+    mutation a tenant then sends is applied after the tick on its
+    worker; the releases/acquires phase barriers do the rest.
     Within a phase, direct ops on distinct (tenant, resource) keys
     interleave arbitrarily — exactly the interleaving freedom the routed
     drive admits, and the one the broker's outcome is invariant under.
@@ -666,7 +666,7 @@ def replay_applied(
     runs merge exactly like PR 2's shard merges.  A server's live totals
     must equal this replay no matter how its tenants interleaved — the
     recorded (clock-ratcheted) traces *are* the serialization the
-    dispatch queues enforced.
+    server's read-order apply produced.
     """
     shards = trace_payload.get("shards")
     if not shards:

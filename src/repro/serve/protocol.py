@@ -74,7 +74,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any
+from typing import Any, Iterator
 
 from ..errors import ModelError
 
@@ -132,7 +132,7 @@ OPS: tuple[str, ...] = (
     "shutdown",
 )
 
-#: Ops that mutate broker state and flow through a shard dispatch queue.
+#: Ops that mutate broker state; a server applies them in read order.
 MUTATION_OPS = frozenset({"acquire", "renew", "release", "tick"})
 
 ERROR_KINDS: tuple[str, ...] = (
@@ -507,29 +507,39 @@ def _decode(body: bytes, binary: bool) -> dict:
 class FrameDecoder:
     """Incremental frame reassembly for byte streams of any chunking.
 
-    Feed it whatever the transport produced; it returns every complete
-    frame payload and buffers the remainder.  The sync client reads
-    sockets through one of these, and the tests use it to prove frames
-    survive arbitrary fragmentation.
+    Feed it whatever the transport produced; it hands back every
+    complete frame payload and buffers the remainder.  The server's read
+    loop decodes through :meth:`frames`, and the tests use it to prove
+    frames survive arbitrary fragmentation.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
 
-    def feed(self, data: bytes) -> list[dict]:
-        self._buffer.extend(data)
-        frames: list[dict] = []
-        while True:
-            if len(self._buffer) < HEADER.size:
-                return frames
-            (word,) = HEADER.unpack_from(self._buffer)
+    def frames(self, data: bytes) -> Iterator[dict]:
+        """Buffer ``data`` and yield each complete frame, in stream order.
+
+        Each frame is handed back before the next one is decoded, so a
+        malformed frame raises :class:`ProtocolError` only after every
+        good frame ahead of it has been yielded — a server answers those
+        before naming the violation.  Iterate to the end: the bytes are
+        buffered when iteration starts.
+        """
+        buffer = self._buffer
+        buffer.extend(data)
+        while len(buffer) >= HEADER.size:
+            (word,) = HEADER.unpack_from(buffer)
             length, binary = _split_header(word)
             end = HEADER.size + length
-            if len(self._buffer) < end:
-                return frames
-            body = bytes(self._buffer[HEADER.size:end])
-            del self._buffer[:end]
-            frames.append(_decode(body, binary))
+            if len(buffer) < end:
+                return
+            body = bytes(buffer[HEADER.size:end])
+            del buffer[:end]
+            yield _decode(body, binary)
+
+    def feed(self, data: bytes) -> list[dict]:
+        """Every complete frame :meth:`frames` yields for ``data``."""
+        return list(self.frames(data))
 
     @property
     def pending_bytes(self) -> int:

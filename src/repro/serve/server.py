@@ -1,28 +1,43 @@
 """Asyncio lease-serving server: shard brokers behind a wire protocol.
 
-:class:`LeaseServer` is the service boundary the ROADMAP's first open
-item asks for — the synchronous, single-threaded
-:class:`~repro.engine.broker.LeaseBroker` put behind an asyncio TCP and
+:class:`LeaseServer` puts the synchronous, single-threaded
+:class:`~repro.engine.broker.LeaseBroker` behind an asyncio TCP and
 unix-socket front end that multiplexes any number of concurrent tenants.
 
 **Ownership and threading contract.**  A broker is single-owner state:
 nothing in it is locked, and its clock must advance monotonically.  The
-server honors that by partitioning the resource space into the same
-contiguous shard ranges PR 2's intra-scenario sharding uses
-(:func:`shard_ranges`) and giving each shard its *own* broker plus its
-own ``asyncio.Queue`` and exactly one worker task.  Every mutation
-(acquire / renew / release / tick) is routed to its resource's shard
-queue and applied by that shard's worker alone — connection handlers
-never touch a broker directly, and neither does anything else.  Reads
-(``stats`` / ``report`` / ``trace``) travel through the same queues, so
-they act as barriers: a read observes every mutation enqueued before it.
-One event loop owns the whole server; :class:`ServerThread` wraps that
-loop in a daemon thread for synchronous callers (the sync client, CLI
-tests), which talk to it only over sockets.
+server partitions the resource space into the same contiguous shard
+ranges the engine's intra-scenario sharding uses (:func:`shard_ranges`)
+and gives each shard its *own* broker.  One event loop owns every
+shard, and every broker call runs synchronously on that loop between
+two awaits, so no two calls ever interleave.  :class:`ServerThread`
+wraps the loop in a daemon thread for synchronous callers (the sync
+client, CLI tests), which talk to it only over sockets.
+
+**Read-batch dispatch.**  Each connection runs one loop: read up to
+:data:`READ_BYTES`, decode every complete frame, and handle the frames
+in read order.  A mutation (acquire / renew / release / tick) is
+applied to its resource's shard broker right there — a tick to every
+shard — and a read (``stats`` / ``report`` / ``trace`` / ``leases`` /
+``metrics``) folds the shards as they stand.  Each reply is encoded as
+it is produced; at the end of the batch every dirty WAL gets one
+group-commit chance, the replies go out in one ``writelines``, and one
+``drain`` waits for the transport.  Applying frames in the order they
+are read is a valid serialization because a resource's lease decisions
+depend only on that resource's own demands; it is exactly the applied
+trace ``record=True`` keeps.  Reads are barriers for free: every frame
+read before them, on any connection, has already been applied.  The
+drain is also the per-connection write-buffer bound: a peer that stops
+reading its replies stops being read.
+
+**Backpressure.**  A tenant's window counts its mutations applied in
+the current read batch whose replies have not been flushed yet; a frame
+past the window draws a ``backpressure`` error frame.  Closed-loop
+tenants (one request outstanding) never hit it.
 
 **Clock ratcheting.**  Tenants are independent closed loops, so their
 simulated days drift: a request can arrive carrying a ``time`` older
-than what its shard broker has already seen.  The worker ratchets such
+than what its shard broker has already seen.  The server ratchets such
 times up to the broker clock (``now = max(time, clock)``) — semantically
 "this request reaches the server *now*; its day is at least today" —
 and, when recording, logs the *applied* event, so a replay of the
@@ -31,26 +46,29 @@ exactly (the serialized-trace equivalence the tests pin down).
 
 **Observability.**  A server optionally carries a
 :class:`~repro.obs.metrics.MetricsRegistry` and a
-:class:`~repro.obs.trace.TraceSink`.  With metrics on, the dispatch loop
-samples per-op latency (enqueue to reply, the registry's injectable
-monotonic clock) into histograms keyed by op kind, the frame adapters
-count bytes in/out, and the session registry counts backpressure
+:class:`~repro.obs.trace.TraceSink`.  With metrics on, every applied
+mutation samples its latency (frame decoded to reply, the registry's
+injectable monotonic clock) into a histogram keyed by op kind, the read
+loop counts bytes in/out, and the session registry counts backpressure
 refusals and idle expiries.  The ``metrics`` protocol verb is a
-*scrape*: it rides the ``stats`` barrier broadcast, folds the per-shard
-broker counters and gauges into a fresh registry
-(:mod:`repro.obs.export`), and appends the live registry's rendering —
-so broker state costs nothing on the hot path and the exposition is
-valid Prometheus text either way.  With tracing on, the dispatch loop
-also emits one JSONL span per op.  Neither touches broker state or any
-served payload, so aggregate reports stay byte-identical to inline
-replay with instrumentation on or off (CI-gated).
+*scrape*: it folds the per-shard broker counters and gauges into a
+fresh registry (:mod:`repro.obs.export`) and appends the live
+registry's rendering — so broker state costs nothing on the hot path
+and the exposition is valid Prometheus text either way.  With tracing
+on, every applied mutation also emits one JSONL dispatch span.  Neither
+touches broker state or any served payload, so aggregate reports stay
+byte-identical to inline replay with instrumentation on or off
+(CI-gated).
 
 **Drain and shutdown.**  ``drain`` moves the server to a mode where new
 acquires are refused with a ``draining`` error frame while renews and
 releases — completing the lifecycle of grants already held — are still
-served, including every request already sitting in a dispatch queue.
-``shutdown`` stops accepting connections, lets the queues empty, stops
-the workers, and wakes :meth:`LeaseServer.run_until_stopped`.
+served.  Within a pipelined batch the frames ahead of a ``drain`` are
+applied before it and the frames behind it after it, deterministically.
+``shutdown`` stops accepting connections, folds every WAL into a final
+snapshot, closes the connections, and wakes
+:meth:`LeaseServer.run_until_stopped`; a mutation read after the state
+flips draws an ``unavailable`` error frame.
 """
 
 from __future__ import annotations
@@ -88,21 +106,23 @@ from .protocol import (
     MUTATION_OPS,
     OPS,
     PROTOCOL_VERSION,
+    FrameDecoder,
     ProtocolError,
     ServeError,
+    encode_frame,
     error,
     negotiate_codec,
     ok,
     parse_trace,
-    read_frame,
-    write_frame,
 )
-from .session import SessionRegistry
+from .session import SessionRegistry, TenantSession
 
 #: Server lifecycle states, in order.
 STATES = ("serving", "draining", "stopped")
 
-_STOP = object()  # queue sentinel: worker exits after draining ahead of it
+#: Bytes one read of a connection may take; every complete frame in
+#: them is applied and answered as one batch.
+READ_BYTES = 64 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -160,11 +180,10 @@ def shard_ranges(num_resources: int, num_shards: int) -> tuple[tuple[int, int], 
 
 
 class _Shard:
-    """One shard: its broker, dispatch queue, worker, and applied log."""
+    """One shard: its broker, applied log, and WAL."""
 
     __slots__ = (
-        "index", "lo", "hi", "broker", "queue", "applied", "task",
-        "wal", "applied_keys",
+        "index", "lo", "hi", "broker", "applied", "wal", "applied_keys",
     )
 
     def __init__(
@@ -174,9 +193,7 @@ class _Shard:
         self.lo = lo
         self.hi = hi
         self.broker = broker
-        self.queue: asyncio.Queue = asyncio.Queue()
         self.applied: list[Event] | None = [] if record else None
-        self.task: asyncio.Task | None = None
         #: Per-shard WAL, None when the server runs without durability.
         self.wal: ShardWal | None = None
         #: Applied-event identity keys for retry dedup (WAL + record
@@ -210,6 +227,74 @@ def _grant_payload(grant) -> dict:
     }
 
 
+def _shard_stats(shard: _Shard) -> dict:
+    broker = shard.broker
+    return {
+        "index": shard.index,
+        "lo": shard.lo,
+        "hi": shard.hi,
+        "clock": broker.clock,
+        "num_active": broker.num_active,
+        "stats": broker.stats.as_dict(),
+        "stats_full": broker.stats.full_dict(),
+        "grant_table": broker.num_grants,
+        "expiry_heap": broker.heap_size,
+    }
+
+
+def _shard_report(shard: _Shard) -> dict:
+    broker = shard.broker
+    leases = broker.leases
+    return {
+        "index": shard.index,
+        "cost": sum(lease.cost for lease in leases),
+        "leases": [
+            [
+                lease.resource,
+                lease.type_index,
+                lease.start,
+                lease.length,
+                lease.cost,
+            ]
+            for lease in leases
+        ],
+        "stats": broker.stats.mergeable(),
+        "num_active": broker.num_active,
+        "num_demands": broker.stats.acquires + broker.stats.renewals,
+    }
+
+
+def _shard_trace(shard: _Shard) -> dict:
+    if shard.applied is None:
+        raise ServeError(
+            "unavailable",
+            "server was started without record=True; no applied trace is "
+            "kept",
+        )
+    return {
+        "index": shard.index,
+        "lo": shard.lo,
+        "hi": shard.hi,
+        "events": [event_to_payload(e) for e in shard.applied],
+    }
+
+
+def _shard_leases(shard: _Shard) -> dict:
+    # Lease ids are "<shard>:<grant_id>" — stable handles for the admin
+    # plane's force-release.
+    return {
+        "index": shard.index,
+        "clock": shard.broker.clock,
+        "leases": [
+            dict(
+                _grant_payload(grant),
+                lease_id=f"{shard.index}:{grant.grant_id}",
+            )
+            for grant in shard.broker.active_leases()
+        ],
+    }
+
+
 def trace_context(payload: dict) -> tuple[str, str] | None:
     """``(trace_id, parent_span_id)`` hex words from an envelope, if any.
 
@@ -232,13 +317,14 @@ class LeaseServer:
     Args:
         schedule: lease types backing every shard broker.
         num_resources: size of the resource id space ``[0, num_resources)``.
-        num_shards: contiguous resource shards (one broker + one worker
-            each); must not exceed ``num_resources``.
+        num_shards: contiguous resource shards (one broker each); must
+            not exceed ``num_resources``.
         policy_factory: per-resource policy override, passed through to
             each shard's :class:`~repro.engine.broker.LeaseBroker`.
         record: keep a per-shard log of *applied* events (clock-ratcheted
             times) for the ``trace`` op and serialized-replay checks.
-        session_window: per-tenant in-flight request bound.
+        session_window: per-tenant bound on mutations applied in one
+            read batch whose replies are not yet flushed.
         idle_timeout: seconds before an idle tenant session is reaped.
         sweep_interval: seconds between reaper sweeps.
         metrics: live instrumentation registry; ``None`` (the default)
@@ -252,7 +338,7 @@ class LeaseServer:
             shard recovers snapshot + WAL into a byte-identical broker
             before the listeners open.  ``None`` disables durability.
         fsync: WAL durability policy — ``off`` / ``batch`` (fsync at
-            dispatch-queue drain) / ``always`` (fsync per append; the
+            read-batch boundaries) / ``always`` (fsync per append; the
             only mode under which an acked op survives ``kill -9``).
         snapshot_every: applied events between automatic grant-table
             snapshots (each snapshot truncates the shard's WAL).
@@ -303,14 +389,14 @@ class LeaseServer:
             enabled=False
         )
         self.trace = trace if trace is not None else NULL_TRACE
-        #: Sample timestamps at all? One flag read per queue item.
+        #: Sample timestamps at all? One flag read per applied mutation.
         self._sample = self.metrics.enabled or self.trace.enabled
         self._obs_clock = (
             self.metrics.clock if self.metrics.enabled else self.trace.clock
         )
         self._latency: dict[str, Histogram] = {}
-        # None (not a null counter) when disabled: the frame adapters
-        # skip the call entirely instead of invoking a no-op.
+        # None (not a null counter) when disabled: the read loop skips
+        # the call entirely instead of invoking a no-op.
         self._bytes_in = (
             self.metrics.counter(
                 "serve_bytes_in_total",
@@ -369,6 +455,10 @@ class LeaseServer:
         )
         self._profile_lock = asyncio.Lock()
         self._history_task: asyncio.Task | None = None
+        # The one deferred WAL flush armed when a batch boundary leaves
+        # a batch-fsync log dirty inside its sync interval.
+        self._flush_timer: asyncio.TimerHandle | None = None
+        self._started = False
         self._state = "serving"
         self._servers: list[asyncio.base_events.Server] = []
         self._writers: set[asyncio.StreamWriter] = set()
@@ -389,15 +479,12 @@ class LeaseServer:
     def num_shards(self) -> int:
         return len(self._shards)
 
-    def _ensure_workers(self) -> None:
-        if self._shards[0].task is not None:
+    def _ensure_started(self) -> None:
+        if self._started:
             return
+        self._started = True
         if self._wal_dir is not None and not self._recovered:
             self._recover()
-        for shard in self._shards:
-            shard.task = asyncio.create_task(
-                self._worker(shard), name=f"serve-shard-{shard.index}"
-            )
         self._reaper = asyncio.create_task(
             self._sweep_sessions(), name="serve-session-reaper"
         )
@@ -412,8 +499,8 @@ class LeaseServer:
     def _recover(self) -> None:
         """Rebuild every shard broker from its snapshot + WAL.
 
-        Runs synchronously before the first listener opens — a worker
-        never serves a request against un-recovered state.  Restoring a
+        Runs synchronously before the first listener opens — no request
+        is ever applied against un-recovered state.  Restoring a
         snapshot and replaying the log's tail reproduces the
         pre-crash broker byte for byte (the :mod:`repro.durable`
         invariant the tests pin down); the applied-event log and the
@@ -503,7 +590,7 @@ class LeaseServer:
 
     async def start_unix(self, path: str) -> None:
         """Start serving on a unix socket at ``path``."""
-        self._ensure_workers()
+        self._ensure_started()
         server = await asyncio.start_unix_server(
             self._handle_connection, path=path
         )
@@ -521,7 +608,7 @@ class LeaseServer:
         share a port (the cluster router uses this for its control
         plane; a lone lease server rarely wants it).
         """
-        self._ensure_workers()
+        self._ensure_started()
         server = await asyncio.start_server(
             self._handle_connection, host=host, port=port,
             reuse_port=reuse_port or None,
@@ -542,10 +629,12 @@ class LeaseServer:
         return self._state
 
     async def shutdown(self) -> None:
-        """Graceful stop: close listeners, empty queues, stop workers."""
+        """Graceful stop: close listeners, snapshot WALs, close connections."""
         if self._state == "stopped":
             await self._stopped.wait()
             return
+        # Every mutation read from here on draws `unavailable`, so no
+        # broker or WAL is touched after this line.
         self._state = "stopped"
         for server in self._servers:
             server.close()
@@ -554,28 +643,9 @@ class LeaseServer:
                 await server.wait_closed()
             except Exception:
                 pass
-        if self._shards[0].task is not None:
-            for shard in self._shards:
-                await shard.queue.join()  # every enqueued request answered
-                shard.queue.put_nowait(_STOP)
-            await asyncio.gather(
-                *(shard.task for shard in self._shards),
-                return_exceptions=True,
-            )
-            # A mutation that passed its state check just before the flip
-            # can slip in behind _STOP; fail it rather than strand its
-            # future (and the connection handler awaiting it) forever.
-            for shard in self._shards:
-                while not shard.queue.empty():
-                    item = shard.queue.get_nowait()
-                    shard.queue.task_done()
-                    if item is _STOP:
-                        continue
-                    future = item[-1]
-                    if not future.done():
-                        future.set_exception(
-                            ServeError("unavailable", "server is stopped")
-                        )
+        if self._flush_timer is not None:
+            self._flush_timer.cancel()
+            self._flush_timer = None
         for shard in self._shards:
             if shard.wal is not None:
                 # Graceful stop: fold the tail into a final snapshot so
@@ -610,84 +680,98 @@ class LeaseServer:
         await self._stopped.wait()
 
     # ------------------------------------------------------------------
-    # Shard workers: the only code that touches a broker
+    # Shard application: the only code that touches a broker
     # ------------------------------------------------------------------
     def _latency_hist(self, op: str) -> Histogram:
         hist = self._latency.get(op)
         if hist is None:
             hist = self._latency[op] = self.metrics.histogram(
                 "serve_op_latency_seconds",
-                help="Per-op latency from enqueue to reply, by op kind.",
+                help="Per-op latency from frame decoded to applied, by op.",
                 op=op,
             )
         return hist
 
-    async def _worker(self, shard: _Shard) -> None:
-        queue = shard.queue
-        broker = shard.broker
-        while True:
-            item = await queue.get()
-            if item is _STOP:
-                queue.task_done()
-                return
-            (op, tenant, resource, when, req_id, retry, t_enq, trace_ctx,
-             future) = item
-            t_disp = self._obs_clock() if self._sample else 0.0
-            try:
-                result = self._apply_to_shard(
-                    shard, broker, op, tenant, resource, when, retry
-                )
-            except ServeError as exc:
-                if not future.cancelled():
-                    future.set_exception(exc)
-            except ModelError as exc:
-                if not future.cancelled():
-                    future.set_exception(ServeError("model", str(exc)))
-            except Exception as exc:  # pragma: no cover - defensive
-                if not future.cancelled():
-                    future.set_exception(
-                        ServeError("model", f"{type(exc).__name__}: {exc}")
+    def _dispatch(
+        self,
+        shard: _Shard,
+        op: str,
+        tenant: str | None,
+        resource: int | None,
+        when: int,
+        req_id,
+        retry: bool,
+        t_enq: float,
+        trace_ctx: tuple[str, str] | None,
+    ) -> dict:
+        """Apply one mutation to one shard, sampling its latency and span.
+
+        Broker rejections surface as a ``model`` :class:`ServeError`, so
+        every caller answers them with an error frame.
+        """
+        t_disp = self._obs_clock() if self._sample else 0.0
+        try:
+            return self._apply_to_shard(
+                shard, op, tenant, resource, when, retry
+            )
+        except ServeError:
+            raise
+        except ModelError as exc:
+            raise ServeError("model", str(exc)) from None
+        except Exception as exc:  # pragma: no cover - defensive
+            raise ServeError("model", f"{type(exc).__name__}: {exc}") from exc
+        finally:
+            if self._sample:
+                t_reply = self._obs_clock()
+                self._latency_hist(op).observe(t_reply - t_enq)
+                if trace_ctx is None:
+                    self.trace.span(
+                        op=op,
+                        tenant=tenant,
+                        resource=resource,
+                        request_id=req_id,
+                        t_enq=t_enq,
+                        t_disp=t_disp,
+                        t_reply=t_reply,
                     )
-            else:
-                if not future.cancelled():
-                    future.set_result(result)
-            finally:
-                if self._sample:
-                    t_reply = self._obs_clock()
-                    self._latency_hist(op).observe(t_reply - t_enq)
-                    if trace_ctx is None:
-                        self.trace.span(
-                            op=op,
-                            tenant=tenant,
-                            resource=resource,
-                            request_id=req_id,
-                            t_enq=t_enq,
-                            t_disp=t_disp,
-                            t_reply=t_reply,
-                        )
-                    else:
-                        # The dispatch span inherits the envelope's trace
-                        # context: same trace id, parented to the hop
-                        # that forwarded the frame here.
-                        self.trace.span(
-                            op=op,
-                            tenant=tenant,
-                            resource=resource,
-                            request_id=req_id,
-                            t_enq=t_enq,
-                            t_disp=t_disp,
-                            t_reply=t_reply,
-                            trace=trace_ctx[0],
-                            span_id=new_id(),
-                            parent=trace_ctx[1],
-                            kind="dispatch",
-                        )
-                queue.task_done()
-                if shard.wal is not None and queue.qsize() == 0:
-                    # Burst boundary: the queue drained, so under
-                    # fsync="batch" everything applied this burst goes
-                    # durable in one fsync.
-                    shard.wal.flush()
+                else:
+                    # The dispatch span inherits the envelope's trace
+                    # context: same trace id, parented to the hop that
+                    # forwarded the frame here.
+                    self.trace.span(
+                        op=op,
+                        tenant=tenant,
+                        resource=resource,
+                        request_id=req_id,
+                        t_enq=t_enq,
+                        t_disp=t_disp,
+                        t_reply=t_reply,
+                        trace=trace_ctx[0],
+                        span_id=new_id(),
+                        parent=trace_ctx[1],
+                        kind="dispatch",
+                    )
+
+    def _flush_wals(self) -> None:
+        """Read-batch boundary: give every dirty WAL a group commit.
+
+        A batch-fsync log synced less than the interval ago skips its
+        fsync; arm one deferred flush for when the interval lapses, or
+        the tail of a burst followed by silence would never be synced.
+        """
+        due = None
+        for shard in self._shards:
+            wait = None if shard.wal is None else shard.wal.flush()
+            if wait is not None and (due is None or wait < due):
+                due = wait
+        if due is not None and self._flush_timer is None:
+            self._flush_timer = asyncio.get_running_loop().call_later(
+                due, self._deferred_flush
+            )
+
+    def _deferred_flush(self) -> None:
+        self._flush_timer = None
+        self._flush_wals()
 
     def _maybe_snapshot(self, shard: _Shard) -> None:
         if shard.wal.appended_since_snapshot >= self._snapshot_every:
@@ -731,146 +815,81 @@ class LeaseServer:
     def _apply_to_shard(
         self,
         shard: _Shard,
-        broker: LeaseBroker,
         op: str,
         tenant: str | None,
         resource: int | None,
-        when: int | None,
+        when: int,
         retry: bool = False,
     ) -> dict:
-        if op in MUTATION_OPS:
-            # Ratchet stale times to the shard clock: the request reaches
-            # this broker *now*, whatever day its tenant believes it is.
-            now = when if when >= broker.clock else broker.clock
-            keys = shard.applied_keys
-            key = None
-            if keys is not None:
-                # Exactly-once under crash-retry: a retry-marked frame
-                # whose applied identity is already in the log was
-                # applied before the sender lost the reply — answer it
-                # without touching the broker.  Unmarked traffic never
-                # consults the set, so legitimate repeats (same-day
-                # re-acquires) behave exactly as without a WAL.
-                key = _applied_key(op, tenant, resource, now)
-                if retry and key in keys:
-                    return self._dedup_reply(broker, op, tenant, resource, now)
-            wal = shard.wal
-            if op == "acquire":
-                grant = broker.acquire(tenant, resource, now)
-                if keys is not None:
-                    keys.add(key)
-                if shard.applied is not None:
-                    shard.applied.append(
-                        Acquire(time=now, tenant=tenant, resource=resource)
-                    )
-                if wal is not None:
-                    wal.append("acquire", now, tenant=tenant, resource=resource)
-                    self._maybe_snapshot(shard)
-                return {"grant": _grant_payload(grant), "applied_time": now}
-            if op == "renew":
-                grant = broker.renew(tenant, resource, now)
-                if keys is not None:
-                    keys.add(key)
-                if shard.applied is not None:
-                    shard.applied.append(
-                        Acquire(time=now, tenant=tenant, resource=resource)
-                    )
-                if wal is not None:
-                    # Renewals enter the WAL as acquires, mirroring the
-                    # applied-trace stream: replay reproduces the same
-                    # acquire-or-renew classification from broker state.
-                    wal.append("acquire", now, tenant=tenant, resource=resource)
-                    self._maybe_snapshot(shard)
-                return {"grant": _grant_payload(grant), "applied_time": now}
-            if op == "release":
-                grant = broker.release(tenant, resource, now)
-                if keys is not None:
-                    keys.add(key)
-                if shard.applied is not None:
-                    shard.applied.append(
-                        Release(time=now, tenant=tenant, resource=resource)
-                    )
-                if wal is not None:
-                    wal.append("release", now, tenant=tenant, resource=resource)
-                    self._maybe_snapshot(shard)
-                return {
-                    "grant": None if grant is None else _grant_payload(grant),
-                    "applied_time": now,
-                }
-            # op == "tick"
-            broker.tick(now)
+        broker = shard.broker
+        # Ratchet stale times to the shard clock: the request reaches
+        # this broker *now*, whatever day its tenant believes it is.
+        now = when if when >= broker.clock else broker.clock
+        keys = shard.applied_keys
+        key = None
+        if keys is not None:
+            # Exactly-once under crash-retry: a retry-marked frame
+            # whose applied identity is already in the log was
+            # applied before the sender lost the reply — answer it
+            # without touching the broker.  Unmarked traffic never
+            # consults the set, so legitimate repeats (same-day
+            # re-acquires) behave exactly as without a WAL.
+            key = _applied_key(op, tenant, resource, now)
+            if retry and key in keys:
+                return self._dedup_reply(broker, op, tenant, resource, now)
+        wal = shard.wal
+        if op == "acquire":
+            grant = broker.acquire(tenant, resource, now)
             if keys is not None:
                 keys.add(key)
             if shard.applied is not None:
-                shard.applied.append(Tick(time=now))
-            if wal is not None:
-                wal.append("tick", now)
-                self._maybe_snapshot(shard)
-            return {"applied_time": now}
-        if op == "stats":
-            return {
-                "index": shard.index,
-                "lo": shard.lo,
-                "hi": shard.hi,
-                "clock": broker.clock,
-                "num_active": broker.num_active,
-                "stats": broker.stats.as_dict(),
-                "stats_full": broker.stats.full_dict(),
-                "grant_table": broker.num_grants,
-                "expiry_heap": broker.heap_size,
-                # Queue length observed by the barrier itself: the number
-                # of requests that arrived behind this stats op.
-                "queue_depth": shard.queue.qsize(),
-            }
-        if op == "report":
-            leases = broker.leases
-            return {
-                "index": shard.index,
-                "cost": sum(lease.cost for lease in leases),
-                "leases": [
-                    [
-                        lease.resource,
-                        lease.type_index,
-                        lease.start,
-                        lease.length,
-                        lease.cost,
-                    ]
-                    for lease in leases
-                ],
-                "stats": broker.stats.mergeable(),
-                "num_active": broker.num_active,
-                "num_demands": broker.stats.acquires + broker.stats.renewals,
-            }
-        if op == "trace":
-            if shard.applied is None:
-                raise ServeError(
-                    "unavailable",
-                    "server was started without record=True; no applied "
-                    "trace is kept",
+                shard.applied.append(
+                    Acquire(time=now, tenant=tenant, resource=resource)
                 )
+            if wal is not None:
+                wal.append("acquire", now, tenant=tenant, resource=resource)
+                self._maybe_snapshot(shard)
+            return {"grant": _grant_payload(grant), "applied_time": now}
+        if op == "renew":
+            grant = broker.renew(tenant, resource, now)
+            if keys is not None:
+                keys.add(key)
+            if shard.applied is not None:
+                shard.applied.append(
+                    Acquire(time=now, tenant=tenant, resource=resource)
+                )
+            if wal is not None:
+                # Renewals enter the WAL as acquires, mirroring the
+                # applied-trace stream: replay reproduces the same
+                # acquire-or-renew classification from broker state.
+                wal.append("acquire", now, tenant=tenant, resource=resource)
+                self._maybe_snapshot(shard)
+            return {"grant": _grant_payload(grant), "applied_time": now}
+        if op == "release":
+            grant = broker.release(tenant, resource, now)
+            if keys is not None:
+                keys.add(key)
+            if shard.applied is not None:
+                shard.applied.append(
+                    Release(time=now, tenant=tenant, resource=resource)
+                )
+            if wal is not None:
+                wal.append("release", now, tenant=tenant, resource=resource)
+                self._maybe_snapshot(shard)
             return {
-                "index": shard.index,
-                "lo": shard.lo,
-                "hi": shard.hi,
-                "events": [event_to_payload(e) for e in shard.applied],
+                "grant": None if grant is None else _grant_payload(grant),
+                "applied_time": now,
             }
-        if op == "leases":
-            # The live lease book, observed through the dispatch queue so
-            # it is a barrier like stats: it sees every mutation enqueued
-            # before it.  Lease ids are "<shard>:<grant_id>" — stable
-            # handles for the admin plane's force-release.
-            return {
-                "index": shard.index,
-                "clock": broker.clock,
-                "leases": [
-                    dict(
-                        _grant_payload(grant),
-                        lease_id=f"{shard.index}:{grant.grant_id}",
-                    )
-                    for grant in broker.active_leases()
-                ],
-            }
-        raise ServeError("protocol", f"unhandled shard op {op!r}")
+        # op == "tick"
+        broker.tick(now)
+        if keys is not None:
+            keys.add(key)
+        if shard.applied is not None:
+            shard.applied.append(Tick(time=now))
+        if wal is not None:
+            wal.append("tick", now)
+            self._maybe_snapshot(shard)
+        return {"applied_time": now}
 
     async def _sweep_sessions(self) -> None:
         while True:
@@ -895,53 +914,35 @@ class LeaseServer:
         where = bisect.bisect_right(self._shard_los, resource) - 1
         return self._shards[where]
 
-    async def _enqueue(
+    def _apply(
         self,
-        shard: _Shard,
         op: str,
-        tenant: str | None,
-        resource: int | None,
-        when: int | None,
-        req_id=None,
-        retry: bool = False,
-        trace: tuple[str, str] | None = None,
+        payload: dict,
+        held: list[TenantSession] | None = None,
+        t_enq: float = 0.0,
     ) -> dict:
-        future = asyncio.get_running_loop().create_future()
-        t_enq = self._obs_clock() if self._sample else 0.0
-        shard.queue.put_nowait(
-            (op, tenant, resource, when, req_id, retry, t_enq, trace, future)
-        )
-        return await future
+        """Apply one mutation envelope now, in read order.
 
-    async def _broadcast(
-        self, op: str, when: int | None = None
-    ) -> list[dict]:
-        return list(
-            await asyncio.gather(
-                *(
-                    self._enqueue(shard, op, None, None, when)
-                    for shard in self._shards
-                )
-            )
-        )
-
-    async def _apply(self, op: str, payload: dict) -> dict:
+        ``held`` collects the tenant session slot the mutation claims,
+        to be released once the read batch's replies are flushed;
+        ``None`` (an admin call, answered at once) releases it here.
+        """
         when = field_time(payload)
         retry = payload.get("retry") is True
         trace = trace_context(payload)
         if self._state == "stopped":
             raise ServeError("unavailable", "server is stopped")
+        req_id = payload.get("id")
         if op == "tick":
-            applied = await asyncio.gather(
-                *(
-                    self._enqueue(
-                        shard, "tick", None, None, when, retry=retry,
-                        trace=trace,
-                    )
+            return {
+                "applied_time": max(
+                    self._dispatch(
+                        shard, "tick", None, None, when, req_id, retry,
+                        t_enq, trace,
+                    )["applied_time"]
                     for shard in self._shards
                 )
-            )
-            return {"applied_time": max(r["applied_time"] for r in applied)}
+            }
         tenant = field_tenant(payload)
         resource = field_resource(payload, self.num_resources)
         if op == "acquire" and self._state != "serving":
@@ -956,12 +957,15 @@ class LeaseServer:
                 f"({self.sessions.window})",
             )
         try:
-            return await self._enqueue(
+            return self._dispatch(
                 self._shard_of(resource), op, tenant, resource, when,
-                payload.get("id"), retry, trace,
+                req_id, retry, t_enq, trace,
             )
         finally:
-            self.sessions.release(session)
+            if held is None:
+                self.sessions.release(session)
+            else:
+                held.append(session)
 
     def _hello(self) -> dict:
         return {
@@ -982,9 +986,9 @@ class LeaseServer:
             },
         }
 
-    async def _control(self, op: str, payload: dict | None = None) -> dict:
-        # `hello` never reaches here: the connection loop intercepts it
-        # (codec negotiation needs the payload for codec negotiation).
+    def _control(self, op: str, payload: dict) -> dict:
+        # `hello` and `shutdown` never reach here: the read loop answers
+        # them (codec negotiation and the hang-up live there).
         if op == "route":
             # In the protocol for the cluster router's handshake; a
             # lone server has no fleet to hand out.
@@ -997,41 +1001,25 @@ class LeaseServer:
             return {
                 "state": self._state,
                 "sessions": self.sessions.snapshot(),
-                "shards": await self._broadcast("stats"),
+                "shards": [_shard_stats(shard) for shard in self._shards],
             }
         if op == "report":
-            return {"shards": await self._broadcast("report")}
+            return {"shards": [_shard_report(shard) for shard in self._shards]}
         if op == "trace":
-            return {"shards": await self._broadcast("trace")}
+            return {"shards": [_shard_trace(shard) for shard in self._shards]}
         if op == "metrics":
-            return {"text": self.render_metrics(await self._broadcast("stats"))}
+            return {"text": self.admin_metrics()}
         if op == "leases":
-            return {"shards": await self._broadcast("leases")}
+            return {"shards": [_shard_leases(shard) for shard in self._shards]}
         if op == "spans":
-            return {"spans": self.spans((payload or {}).get("trace"))}
+            return {"spans": self.spans(payload.get("trace"))}
         if op == "drain":
             return {"state": self.drain()}
         if op == "undrain":
             return {"state": self.undrain()}
-        raise ServeError("protocol", f"unknown op {op!r}")
-
-    def render_metrics(self, shard_stats: list[dict]) -> str:
-        """The process's Prometheus text exposition, from a stats barrier.
-
-        Scrape-time families (broker counters/gauges, session totals,
-        queue depths) are folded into a fresh registry from the
-        broadcast payloads; the live registry's families (latency
-        histograms, byte and refusal counters) are appended when metrics
-        are enabled.  The two renders use disjoint family names, so the
-        concatenation is itself a valid exposition.
-        """
-        registry = MetricsRegistry(clock=self.metrics.clock)
-        export_shards(registry, shard_stats)
-        export_sessions(registry, self.sessions.snapshot())
-        text = registry.render_prometheus()
-        if self.metrics.enabled:
-            text += self.metrics.render_prometheus()
-        return text
+        raise ServeError(
+            "protocol", f"unknown op {op!r}; known: {', '.join(OPS)}"
+        )
 
     def spans(self, trace_id: str | None = None) -> list[dict]:
         """This process's live spans (the ``spans`` verb's answer).
@@ -1048,9 +1036,25 @@ class LeaseServer:
     # ------------------------------------------------------------------
     # Admin backend — the surface repro.admin.AdminPlane mounts over HTTP
     # ------------------------------------------------------------------
-    async def admin_metrics(self) -> str:
-        """The ``GET /metrics`` exposition (rides the stats barrier)."""
-        return self.render_metrics(await self._broadcast("stats"))
+    def admin_metrics(self) -> str:
+        """The process's Prometheus text exposition (``GET /metrics``).
+
+        Scrape-time families (broker counters/gauges, session totals)
+        are folded into a fresh registry from the shards as they stand;
+        the live registry's families (latency histograms, byte and
+        refusal counters) are appended when metrics are enabled.  The
+        two renders use disjoint family names, so the concatenation is
+        itself a valid exposition.
+        """
+        registry = MetricsRegistry(clock=self.metrics.clock)
+        export_shards(
+            registry, [_shard_stats(shard) for shard in self._shards]
+        )
+        export_sessions(registry, self.sessions.snapshot())
+        text = registry.render_prometheus()
+        if self.metrics.enabled:
+            text += self.metrics.render_prometheus()
+        return text
 
     def admin_health(self) -> dict:
         """Liveness: the process is up and can say what state it is in.
@@ -1074,55 +1078,58 @@ class LeaseServer:
         finished recovery, or one that is draining or stopped, is alive
         but not ready — a load balancer should not send it acquires.
         """
-        workers_up = self._shards[0].task is not None
+        started = self._started
         recovered = self._wal_dir is None or self._recovered
-        ready = workers_up and recovered and self._state == "serving"
+        ready = started and recovered and self._state == "serving"
         return ready, {
             "ready": ready,
             "state": self._state,
-            "workers_up": workers_up,
+            "workers_up": started,
             "recovered": recovered,
         }
 
-    async def admin_leases(
+    def admin_leases(
         self, tenant: str | None = None, resource: int | None = None
     ) -> list[dict]:
         """The live lease book, folded across shards, filtered, sorted.
 
-        Rides the ``leases`` dispatch-queue barrier, so the book reflects
-        every mutation enqueued before the call.  Sorted by (resource,
-        tenant, lease_id) — a stable order for pagination.
+        Computed at call time from the shard brokers, so the book
+        reflects every mutation read before the call.  Sorted by
+        (resource, tenant, lease_id) — a stable order for pagination.
         """
-        shards = await self._broadcast("leases")
         book = [
             lease
-            for shard in shards
-            for lease in shard["leases"]
+            for shard in self._shards
+            for lease in _shard_leases(shard)["leases"]
             if (tenant is None or lease["tenant"] == tenant)
             and (resource is None or lease["resource"] == resource)
         ]
         book.sort(key=lambda l: (l["resource"], l["tenant"], l["lease_id"]))
         return book
 
-    async def admin_force_release(self, lease_id: str) -> dict | None:
+    def admin_force_release(self, lease_id: str) -> dict | None:
         """Durably force-release one lease by its ``<shard>:<grant_id>`` id.
 
-        The mutation is injected through the normal dispatch path — an
-        ordinary ``release`` frame with ``time=0`` (clock-ratcheted to
-        the owning shard's today) — so it rides the WAL, lands in the
-        applied trace as a replayable :class:`Release`, and carries the
-        same retry-dedup identity as any client release.  Returns the
-        reply payload, or ``None`` when no live lease has that id.
+        The mutation is applied through the same path as a client's —
+        an ordinary ``release`` envelope with ``time=0``
+        (clock-ratcheted to the owning shard's today) — so it rides the
+        WAL, lands in the applied trace as a replayable
+        :class:`Release`, and carries the same retry-dedup identity as
+        any client release.  Returns the reply payload, or ``None`` when
+        no live lease has that id.
         """
-        book = await self.admin_leases()
+        book = self.admin_leases()
         lease = next((l for l in book if l["lease_id"] == lease_id), None)
         if lease is None:
             return None
-        result = await self._apply(
+        result = self._apply(
             "release",
             {"tenant": lease["tenant"], "resource": lease["resource"],
              "time": 0},
+            t_enq=self._obs_clock() if self._sample else 0.0,
         )
+        if self._wal_dir is not None:
+            self._flush_wals()
         return {"lease_id": lease_id, "released": dict(lease), **result}
 
     def admin_drain(self, worker: int) -> str | None:
@@ -1186,85 +1193,79 @@ class LeaseServer:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        write_lock = asyncio.Lock()
-        inflight: set[asyncio.Task] = set()
-        # One mutable slot per connection: `hello` may upgrade the codec
-        # mid-stream, and every response written after the upgrade —
-        # including mutations already in flight — uses the new encoding
-        # (receivers decode both codecs, so the cutover point is free).
-        codec_ref = [CODEC_JSON]
+        decoder = FrameDecoder()
+        # `hello` may renegotiate the codec mid-batch: each reply is
+        # encoded with the codec in force when it is produced (receivers
+        # decode both codecs, so the cutover point is free).
+        codec = CODEC_JSON
+        sample = self._sample
         try:
             while True:
                 try:
-                    payload = await read_frame(reader, self._bytes_in)
-                except ProtocolError as exc:
-                    # The byte stream is unparseable from here on: name
-                    # the violation, then hang up rather than resync.
-                    await self._respond(
-                        writer, write_lock,
-                        error(None, "protocol", str(exc)), codec_ref,
-                    )
+                    data = await reader.read(READ_BYTES)
+                except (ConnectionError, OSError):
                     break
-                if payload is None:
+                if not data:
                     break
-                request_id = payload.get("id")
-                op = payload.get("op")
-                if op in MUTATION_OPS:
-                    # Pipelining: each mutation runs as its own task so a
-                    # connection can have many requests in the shard
-                    # queues at once; responses return in completion
-                    # order, matched by id.
-                    mutation = asyncio.create_task(
-                        self._serve_mutation(
-                            op, payload, request_id, writer, write_lock,
-                            codec_ref,
-                        )
-                    )
-                    inflight.add(mutation)
-                    mutation.add_done_callback(inflight.discard)
-                    continue
-                if op == "hello":
-                    # Codec negotiation happens here, where the payload
-                    # is visible: an explicit `codec` field renegotiates
-                    # this connection (unknown values settle on JSON); a
-                    # hello *without* the field is a plain introspection
-                    # and leaves the current codec untouched.
-                    if "codec" in payload:
-                        codec_ref[0] = negotiate_codec(payload.get("codec"))
-                    result = self._hello()
-                    result["codec"] = codec_ref[0]
-                    await self._respond(
-                        writer, write_lock, ok(request_id, result), codec_ref
-                    )
-                    continue
-                if op == "shutdown":
-                    await self._respond(
-                        writer, write_lock,
-                        ok(request_id, {"state": "stopped"}), codec_ref,
-                    )
-                    self._shutdown_task = asyncio.create_task(self.shutdown())
-                    break
-                if op not in OPS:
-                    await self._respond(
-                        writer,
-                        write_lock,
-                        error(
-                            request_id,
-                            "protocol",
-                            f"unknown op {op!r}; known: {', '.join(OPS)}",
-                        ),
-                        codec_ref,
-                    )
-                    continue
+                if self._bytes_in is not None:
+                    self._bytes_in.inc(len(data))
+                replies: list[bytes] = []
+                held: list[TenantSession] = []
+                hangup = stopping = False
                 try:
-                    result = await self._control(op, payload)
-                    frame = ok(request_id, result)
-                except ServeError as exc:
-                    frame = error(request_id, exc.kind, exc.message)
-                await self._respond(writer, write_lock, frame, codec_ref)
+                    for payload in decoder.frames(data):
+                        t_enq = self._obs_clock() if sample else 0.0
+                        request_id = payload.get("id")
+                        op = payload.get("op")
+                        try:
+                            if op in MUTATION_OPS:
+                                result = self._apply(op, payload, held, t_enq)
+                            elif op == "hello":
+                                # An explicit `codec` field renegotiates
+                                # (unknown values settle on JSON); a hello
+                                # without it is plain introspection and
+                                # leaves the codec untouched.
+                                if "codec" in payload:
+                                    codec = negotiate_codec(payload["codec"])
+                                result = self._hello()
+                                result["codec"] = codec
+                            elif op == "shutdown":
+                                result = {"state": "stopped"}
+                                hangup = stopping = True
+                            else:
+                                result = self._control(op, payload)
+                            frame = ok(request_id, result)
+                        except ServeError as exc:
+                            frame = error(request_id, exc.kind, exc.message)
+                        replies.append(encode_frame(frame, codec))
+                        if hangup:
+                            break  # frames behind a shutdown go unanswered
+                except ProtocolError as exc:
+                    # The byte stream is unparseable from here on: the
+                    # frames ahead of the violation are answered, then
+                    # it is named and the connection hung up rather than
+                    # resynchronised.
+                    replies.append(
+                        encode_frame(error(None, "protocol", str(exc)), codec)
+                    )
+                    hangup = True
+                if self._wal_dir is not None:
+                    self._flush_wals()
+                try:
+                    writer.writelines(replies)
+                    if self._bytes_out is not None:
+                        self._bytes_out.inc(sum(map(len, replies)))
+                    await writer.drain()
+                except (ConnectionError, RuntimeError, OSError):
+                    hangup = True  # the peer went away mid-reply
+                finally:
+                    for session in held:
+                        self.sessions.release(session)
+                if stopping:
+                    self._shutdown_task = asyncio.create_task(self.shutdown())
+                if hangup:
+                    break
         finally:
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
             self._writers.discard(writer)
             if task is not None:
                 self._conn_tasks.discard(task)
@@ -1273,23 +1274,6 @@ class LeaseServer:
                 await writer.wait_closed()
             except Exception:
                 pass
-
-    async def _serve_mutation(
-        self, op, payload, request_id, writer, write_lock, codec_ref
-    ) -> None:
-        try:
-            result = await self._apply(op, payload)
-            frame = ok(request_id, result)
-        except ServeError as exc:
-            frame = error(request_id, exc.kind, exc.message)
-        await self._respond(writer, write_lock, frame, codec_ref)
-
-    async def _respond(self, writer, write_lock, frame: dict, codec_ref) -> None:
-        async with write_lock:
-            try:
-                await write_frame(writer, frame, codec_ref[0], self._bytes_out)
-            except (ConnectionError, RuntimeError, OSError):
-                pass  # client went away; its response has nowhere to go
 
 
 class ServerThread:

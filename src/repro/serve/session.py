@@ -5,12 +5,12 @@ connection, since a tenant may spread its traffic over a pooled set of
 sockets.  A session does two jobs:
 
 * **Backpressure.**  Each tenant gets a bounded in-flight *window*: at
-  most ``window`` mutation requests queued-but-unanswered at once.  A
-  request beyond the window is refused immediately with a
-  ``backpressure`` error frame instead of growing the dispatch queues
-  without bound — the client's cue to await some responses before
-  pipelining more.  Closed-loop clients (one in-flight request per
-  tenant) never hit the window.
+  most ``window`` mutations applied but not yet answered at once — for
+  the server, its mutations in the current read batch whose replies
+  have not been flushed.  A request beyond the window is refused
+  immediately with a ``backpressure`` error frame — the client's cue
+  to await some responses before pipelining more.  Closed-loop clients
+  (one in-flight request per tenant) never hit the window.
 * **Idle expiry.**  Sessions are bookkeeping, and tenants come and go; a
   reaper sweep drops sessions that have been idle (no request, nothing
   in flight) longer than ``idle_timeout`` seconds of wall clock.  Expiry

@@ -131,7 +131,7 @@ class TestCrashRecovery:
         assert report["shards"] == control_report["shards"]
 
     def test_batch_fsync_recovers_after_quiesce(self, sock_path):
-        """fsync=batch flushes at dispatch-queue drain: once the stream
+        """fsync=batch flushes at read-batch boundaries: once the stream
         has quiesced, even an abrupt death loses nothing."""
         events = _events(horizon=32, seed=5)
         wal_dir = sock_path + ".wal"
@@ -142,8 +142,8 @@ class TestCrashRecovery:
             client = await AsyncLeaseClient.open_unix(sock_path)
             for event in events:
                 await _apply(client, event)
-            # All replies are in, so the queues have drained and the
-            # drain-triggered flush has run; give the loop one beat.
+            # All replies are in, so every batch boundary's flush has
+            # run; give the loop one beat.
             await asyncio.sleep(0.05)
             await client.close()
 
@@ -152,6 +152,56 @@ class TestCrashRecovery:
         assert recovered > 0
         _, control_report, _ = _drive(sock_path + ".b", events)
         assert report["shards"] == control_report["shards"]
+
+    def test_idle_batch_tail_is_synced_by_a_deferred_flush(
+        self, sock_path, monkeypatch
+    ):
+        """A burst landing inside the sync interval and then going idle
+        is still fsynced once the interval lapses: the batch boundary
+        arms one deferred flush.  The WAL runs on a fake clock, so no
+        sleep here is as long as the interval."""
+        import repro.durable.wal as wal_module
+        from repro.obs.metrics import MetricsRegistry
+
+        now = [0.0]
+        real_wal = wal_module.ShardWal
+        monkeypatch.setattr(
+            wal_module,
+            "ShardWal",
+            lambda *args, **kwargs: real_wal(
+                *args, clock=lambda: now[0], **kwargs
+            ),
+        )
+        registry = MetricsRegistry()
+
+        def fsyncs():
+            family = registry.snapshot().get("wal_fsyncs_total")
+            return 0 if family is None else sum(
+                entry["value"] for entry in family["series"]
+            )
+
+        async def main():
+            server = _server(
+                wal_dir=sock_path + ".wal", fsync="batch", metrics=registry
+            )
+            await server.start_unix(sock_path)
+            client = await AsyncLeaseClient.open_unix(sock_path)
+            # The logs opened at t=0: this batch ends 50 ms short of the
+            # interval, so its boundary must skip the fsync.
+            now[0] = wal_module.BATCH_SYNC_INTERVAL - 0.05
+            await client.acquire("t0", 0, 0)
+            at_reply = fsyncs()
+            # Nothing else arrives; the interval lapses.
+            now[0] = wal_module.BATCH_SYNC_INTERVAL
+            await asyncio.sleep(0.1)
+            after_idle = fsyncs()
+            await client.close()
+            await server.shutdown()
+            return at_reply, after_idle
+
+        at_reply, after_idle = asyncio.run(main())
+        assert at_reply == 0
+        assert after_idle == 1
 
 
 class TestRetryDedup:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import LeaseSchedule
 from repro.durable.wal import (
+    BATCH_SYNC_INTERVAL,
     SNAPSHOT_FILE,
     WAL_FILE,
     ShardWal,
@@ -183,3 +184,38 @@ class TestSnapshotAndRecovery:
         assert 'wal_appends_total{shard="0"} 5' in rendered
         assert 'wal_snapshots_total{shard="0"} 1' in rendered
         assert 'wal_fsyncs_total{shard="0"} 5' in rendered
+
+
+class TestBatchGroupCommit:
+    def _wal(self, tmp_path, fsync, now):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        wal = ShardWal(
+            tmp_path / "shard-0", fsync=fsync, metrics=registry, shard=0,
+            clock=lambda: now[0],
+        )
+        return wal, registry.counter("wal_fsyncs_total", shard="0")
+
+    def test_skipped_sync_reports_when_it_falls_due(self, tmp_path):
+        now = [100.0]
+        wal, fsyncs = self._wal(tmp_path, "batch", now)
+        assert wal.flush() is None  # clean: nothing to sync
+        wal.append("tick", 0)
+        now[0] = 100.1
+        assert wal.flush() == pytest.approx(BATCH_SYNC_INTERVAL - 0.1)
+        assert fsyncs.value == 0
+        now[0] = 100.0 + BATCH_SYNC_INTERVAL
+        assert wal.flush() is None
+        assert fsyncs.value == 1
+        assert wal.flush() is None  # synced: nothing left waiting
+        wal.close()
+        assert fsyncs.value == 1
+
+    @pytest.mark.parametrize("fsync", ["off", "always"])
+    def test_other_modes_never_ask_for_a_later_flush(self, tmp_path, fsync):
+        now = [0.0]
+        wal, _ = self._wal(tmp_path, fsync, now)
+        wal.append("tick", 0)
+        assert wal.flush() is None
+        wal.close()

@@ -334,9 +334,6 @@ class TestForceRelease:
             await plane.close()
             # Abandon without shutdown: no snapshot, recovery must come
             # entirely from the fsynced WAL.
-            for shard in server._shards:
-                if shard.task is not None:
-                    shard.task.cancel()
             for listener in server._servers:
                 listener.close()
                 await listener.wait_closed()

@@ -135,31 +135,46 @@ class TestDrain:
         assert released["grant"]["released_at"] == 0
 
     def test_backpressure_rejects_past_the_window(self, sock_path):
-        """With no shard worker draining the queue, a second in-flight
-        request for a window=1 tenant must bounce deterministically."""
+        """window=1: two frames from one tenant in one write land in one
+        read batch — the first is applied, the second bounces; once the
+        batch's replies are flushed the window is free again."""
+        from repro.serve.protocol import FrameDecoder, encode_frame, request
 
         async def main():
             server = LeaseServer(
                 SCHEDULE, num_resources=2, num_shards=1, session_window=1
             )
-            # No listener, no workers: requests enqueue and park forever,
-            # pinning the tenant's in-flight slot.
-            first = asyncio.ensure_future(
-                server._apply("acquire", {"tenant": "t", "resource": 0, "time": 0})
-            )
-            await asyncio.sleep(0)  # let it claim the slot and enqueue
-            try:
-                await server._apply(
-                    "acquire", {"tenant": "t", "resource": 1, "time": 0}
-                )
-            except ServeError as exc:
-                return first, exc
-            finally:
-                first.cancel()
-            return first, None
+            await server.start_unix(sock_path)
+            reader, writer = await asyncio.open_unix_connection(sock_path)
+            decoder = FrameDecoder()
 
-        _, exc = asyncio.run(main())
-        assert exc is not None and exc.kind == "backpressure"
+            async def exchange(*frames):
+                writer.write(b"".join(encode_frame(f) for f in frames))
+                await writer.drain()
+                replies = []
+                while len(replies) < len(frames):
+                    data = await asyncio.wait_for(reader.read(4096), 5)
+                    assert data, "server hung up"
+                    replies.extend(decoder.feed(data))
+                return replies
+
+            batch = await exchange(
+                request("acquire", 1, tenant="t", resource=0, time=0),
+                request("acquire", 2, tenant="t", resource=1, time=0),
+            )
+            later = await exchange(
+                request("acquire", 3, tenant="t", resource=1, time=0)
+            )
+            writer.close()
+            await server.shutdown()
+            return batch, later
+
+        batch, later = asyncio.run(main())
+        assert [r["id"] for r in batch] == [1, 2]
+        assert batch[0]["ok"] and batch[0]["result"]["grant"]["resource"] == 0
+        assert not batch[1]["ok"]
+        assert batch[1]["error"]["kind"] == "backpressure"
+        assert later[0]["ok"] and later[0]["result"]["grant"]["resource"] == 1
 
 
 class TestCodecNegotiation:
@@ -246,11 +261,11 @@ class TestCodecNegotiation:
 
 class TestDrainMidBatch:
     def test_drain_arriving_mid_pipelined_batch(self, sock_path):
-        """A pipelined batch with drain in the middle: the drain ack and
-        every post-drain acquire refusal are deterministic, releases are
-        served regardless, and — the strong invariant — whatever subset
-        of the batch was applied, the served totals equal an inline
-        replay of the recorded (serialized) traces."""
+        """A pipelined batch with drain in the middle: frames are applied
+        in read order, so the acquire ahead of the drain is served and
+        every acquire behind it refused, releases are served regardless,
+        and the served totals equal an inline replay of the recorded
+        (serialized) traces."""
         from repro.serve import LeaseClient, ServerThread
 
         server = LeaseServer(
@@ -282,14 +297,59 @@ class TestDrainMidBatch:
         # Acquires pipelined behind the drain are refused by it.
         for late in (late_a, late_b):
             assert isinstance(late, ServeError) and late.kind == "draining"
-        # The acquire ahead of the drain raced it: served or refused,
-        # but never lost — and the books must balance either way.
-        assert isinstance(first_acquire, (dict, ServeError))
+        # The acquire ahead of the drain is applied before it.
+        assert isinstance(first_acquire, dict)
+        assert first_acquire["grant"]["tenant"] == "t1"
+        assert first_acquire["grant"]["resource"] == 1
+        assert trace["shards"][0]["events"][1]["tenant"] == "t1"
         served = merge_shard_payloads(report["shards"])
         replayed = replay_applied(SCHEDULE, trace)
         assert served.cost == replayed.cost
         assert tuple(served.leases) == tuple(replayed.leases)
         assert served.detail["broker_stats"] == replayed.detail["broker_stats"]
+
+
+class TestReadOrder:
+    def test_reads_mid_batch_see_exactly_the_mutations_ahead(self, sock_path):
+        """``stats`` and ``leases`` pipelined between mutations observe
+        every mutation ahead of them in the batch and none behind."""
+        from repro.serve import LeaseClient, ServerThread
+
+        server = LeaseServer(SCHEDULE, num_resources=4, num_shards=2)
+        thread = ServerThread(server, unix_path=sock_path).start()
+        try:
+            with LeaseClient(path=sock_path) as client:
+                batch = client.pipeline(
+                    [
+                        ("acquire", {"tenant": "t0", "resource": 0, "time": 0}),
+                        ("acquire", {"tenant": "t1", "resource": 3, "time": 0}),
+                        ("stats", {}),
+                        ("leases", {}),
+                        ("acquire", {"tenant": "t2", "resource": 2, "time": 0}),
+                        ("release", {"tenant": "t0", "resource": 0, "time": 0}),
+                        ("stats", {}),
+                        ("leases", {}),
+                    ]
+                )
+        finally:
+            thread.stop()
+        early_stats, early_book = batch[2], batch[3]
+        late_stats, late_book = batch[6], batch[7]
+
+        def acquires(stats):
+            return sum(s["stats"]["acquires"] for s in stats["shards"])
+
+        def held(book):
+            return sorted(
+                (lease["tenant"], lease["resource"])
+                for shard in book["shards"]
+                for lease in shard["leases"]
+            )
+
+        assert acquires(early_stats) == 2
+        assert held(early_book) == [("t0", 0), ("t1", 3)]
+        assert acquires(late_stats) == 3
+        assert held(late_book) == [("t1", 3), ("t2", 2)]
 
 
 class TestWireValidation:
@@ -392,6 +452,46 @@ class TestLifecycle:
         assert frame["ok"] is False
         assert frame["error"]["kind"] == "protocol"
         assert at_eof  # server hangs up after naming the violation
+
+    def test_good_frames_ahead_of_a_malformed_one_are_answered(
+        self, sock_path
+    ):
+        """One write: a valid acquire, then garbage.  The acquire is
+        applied and answered, then the violation is named, then EOF."""
+        from repro.serve.protocol import (
+            HEADER,
+            FrameDecoder,
+            encode_frame,
+            request,
+        )
+
+        async def main():
+            server = LeaseServer(SCHEDULE, num_resources=2, num_shards=1)
+            await server.start_unix(sock_path)
+            reader, writer = await asyncio.open_unix_connection(sock_path)
+            writer.write(
+                encode_frame(
+                    request("acquire", 7, tenant="t", resource=1, time=0)
+                )
+                + HEADER.pack(8)
+                + b"not-json"
+            )
+            await writer.drain()
+            raw = b""
+            while True:
+                data = await asyncio.wait_for(reader.read(4096), timeout=5)
+                if not data:
+                    break
+                raw += data
+            writer.close()
+            await server.shutdown()
+            return raw
+
+        first, second = FrameDecoder().feed(asyncio.run(main()))
+        assert first["id"] == 7 and first["ok"] is True
+        assert first["result"]["grant"]["resource"] == 1
+        assert second["ok"] is False
+        assert second["error"]["kind"] == "protocol"
 
     def test_hello_and_stats_shapes(self, sock_path):
         async def main():
