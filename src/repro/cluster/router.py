@@ -8,24 +8,36 @@ unchanged.  Behind it, mutations route by resource to the worker whose
 shard group owns them; control ops fan out as *barriers* and the results
 merge back into single-server shapes.
 
-**Routing and ordering.**  Each worker is reached through one
-:class:`_WorkerLink`: a pipelined connection with its own id space, a
-coalescing writer (every flush drains the whole outgoing queue through
-one ``writelines``) and a reader that relays responses back to the
-owning client connection, ids rewritten.  A client connection's frames
-are routed *synchronously in read order*, so two ops from the same
-tenant to the same worker stay ordered end to end — the same
-serialization the single server's read-order apply provides.  ``tick``
-broadcasts to every worker (the shared clock skeleton); the barrier
-reads (``stats`` / ``report`` / ``trace``) ride the same links after any
-already-routed mutations, so they observe everything enqueued before
-them, worker by worker.
+**Routing and ordering.**  Both of the router's sockets run the single
+server's read-batch loop: read up to :data:`READ_BYTES`, decode every
+complete frame, and handle the frames in read order.  A client
+connection's mutations are routed *synchronously* as they are decoded,
+so two ops from the same tenant to the same worker stay ordered end to
+end — the same serialization the single server's read-order apply
+provides, and a valid one because a resource's lease decisions depend
+only on that resource's own demands.  Each worker is reached through
+one :class:`_WorkerLink`: a pipelined connection with its own id space
+whose reader relays each response back to the owning client
+connection, id rewritten in place.  Every frame is encoded the moment
+it is produced and appended to its socket's write list; the first
+append in a loop turn schedules one flush, so each socket gets a single
+``writelines`` per turn however many tenants' frames rode on it.
+``tick`` broadcasts to every worker (the shared clock skeleton); the
+barrier reads (``stats`` / ``report`` / ``trace``) ride the same links
+after any already-routed mutations, so they observe everything routed
+before them, worker by worker.
 
 **Backpressure propagation.**  Per-worker in-flight is bounded: a
 mutation that would push a link past ``worker_window`` unanswered ops is
 refused immediately with a ``backpressure`` error frame — the cluster
 analogue of the server's per-tenant windows, which the workers still
 enforce behind the router and whose refusals relay through verbatim.
+Every frame in a link's write list is an unanswered op, so the window
+bounds that list too.  On the client side each read batch ends with a
+``drain``: a tenant that stops reading its replies stops being read.
+A connection that ends (EOF, a protocol error, ``shutdown``) first
+waits, up to five seconds, for the replies to the ops it already had
+relayed.
 
 **Merge discipline.**  Every worker runs the *global* shard tiling (see
 :class:`~repro.cluster.spec.ClusterSpec`), so its ``report``/``trace``
@@ -85,6 +97,7 @@ from ..serve.protocol import (
     MUTATION_OPS,
     OPS,
     PROTOCOL_VERSION,
+    FrameDecoder,
     ProtocolError,
     ServeError,
     encode_frame,
@@ -97,6 +110,7 @@ from ..serve.protocol import (
     write_frame,
 )
 from ..serve.server import (
+    READ_BYTES,
     field_resource,
     field_tenant,
     field_time,
@@ -114,57 +128,81 @@ async def _dial(endpoint: str):
     return await asyncio.open_connection(address[0], address[1])
 
 
-async def _drain_queue_into(queue: asyncio.Queue, batch: list) -> None:
-    batch.append(await queue.get())
-    while not queue.empty():
-        batch.append(queue.get_nowait())
+#: How long a closing client connection waits for the replies to the
+#: ops it already had relayed.
+CLOSE_WAIT = 5.0
 
 
-class _ClientConn:
-    """One tenant connection: codec state plus a coalescing out-pump."""
+class _Outbox:
+    """A socket's write side: frames append now, flush once per loop turn.
 
-    __slots__ = ("reader", "writer", "codec_ref", "outq", "closed", "pump")
+    The first append after a flush schedules the next one with
+    ``call_soon``, so every frame produced in the same event-loop turn —
+    by any number of read batches and link replies — leaves in a single
+    ``writelines``.
+    """
 
-    def __init__(self, reader, writer):
-        self.reader = reader
+    __slots__ = ("writer", "_out", "_loop")
+
+    def __init__(self, writer):
         self.writer = writer
-        self.codec_ref = [CODEC_JSON]
-        self.outq: asyncio.Queue = asyncio.Queue()
+        self._out: list[bytes] = []
+        self._loop = asyncio.get_running_loop()
+
+    def _push(self, frame: bytes) -> None:
+        out = self._out
+        if not out:
+            self._loop.call_soon(self._flush)
+        out.append(frame)
+
+    def _flush(self) -> None:
+        out, self._out = self._out, []
+        if out:
+            try:
+                self.writer.writelines(out)
+            except (ConnectionError, RuntimeError, OSError):
+                pass  # the peer went away; its read side notices
+
+
+class _ClientConn(_Outbox):
+    """One tenant connection: its codec, write list and relayed-op count."""
+
+    __slots__ = ("codec", "relayed", "closed", "_settled")
+
+    def __init__(self, writer):
+        super().__init__(writer)
+        self.codec = CODEC_JSON
+        #: Ops routed to a worker whose replies have not come back yet.
+        self.relayed = 0
         self.closed = False
-        self.pump = asyncio.create_task(self._pump())
+        self._settled: asyncio.Future | None = None
 
     def send(self, payload: dict) -> None:
-        """Queue one response payload; encoded at flush with the conn codec."""
+        """Encode one reply with the codec in force now and queue it."""
         if not self.closed:
-            self.outq.put_nowait(payload)
+            self._push(encode_frame(payload, self.codec))
 
-    async def _pump(self) -> None:
-        while True:
-            batch: list[dict] = []
-            await _drain_queue_into(self.outq, batch)
-            codec = self.codec_ref[0]
-            try:
-                self.writer.writelines(
-                    [encode_frame(payload, codec) for payload in batch]
-                )
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                pass  # client went away; its responses have nowhere to go
-            finally:
-                for _ in batch:
-                    self.outq.task_done()
+    def settle(self, payload: dict) -> None:
+        """Answer one relayed op — the worker's reply or its failure."""
+        self.relayed -= 1
+        if not self.closed:
+            self._push(encode_frame(payload, self.codec))
+        settled = self._settled
+        if settled is not None and not self.relayed and not settled.done():
+            settled.set_result(None)
 
     async def close(self) -> None:
+        # Replies to ops already relayed are still owed: wait for them
+        # (a dead link answers its ops `unavailable`), but only while the
+        # peer can still read them.
+        if self.relayed > 0 and not self.writer.is_closing():
+            self._settled = self._loop.create_future()
+            try:
+                await asyncio.wait_for(self._settled, timeout=CLOSE_WAIT)
+            except asyncio.TimeoutError:
+                pass
+        self._flush()
         self.closed = True
-        try:
-            await asyncio.wait_for(self.outq.join(), timeout=5.0)
-        except (asyncio.TimeoutError, Exception):
-            pass
-        self.pump.cancel()
-        try:
-            await self.pump
-        except (asyncio.CancelledError, Exception):
-            pass
         self.writer.close()
         try:
             await self.writer.wait_closed()
@@ -172,14 +210,13 @@ class _ClientConn:
             pass
 
 
-class _WorkerLink:
+class _WorkerLink(_Outbox):
     """The router's pipelined connection to one worker process."""
 
     __slots__ = (
-        "index", "reader", "writer", "codec", "_ids", "_pending", "outq",
-        "_pump_task", "_read_task", "_metrics_on", "_clock", "_registry",
-        "_latency", "_frames", "_failures", "_on_death", "_on_beat",
-        "_closing", "_trace",
+        "index", "reader", "codec", "_ids", "_pending", "_read_task",
+        "_metrics_on", "_clock", "_registry", "_latency", "_frames",
+        "_failures", "_on_death", "_on_beat", "_closing", "_trace",
     )
 
     def __init__(
@@ -193,9 +230,9 @@ class _WorkerLink:
         on_beat=None,
         trace: TraceSink | None = None,
     ):
+        super().__init__(writer)
         self.index = index
         self.reader = reader
-        self.writer = writer
         self.codec = codec
         self._on_beat = on_beat
         self._ids = itertools.count(1)
@@ -210,7 +247,6 @@ class _WorkerLink:
         self._trace = trace if trace is not None else NULL_TRACE
         self._on_death = on_death
         self._closing = False
-        self.outq: asyncio.Queue = asyncio.Queue()
         registry = metrics if metrics is not None else MetricsRegistry(
             enabled=False
         )
@@ -229,7 +265,6 @@ class _WorkerLink:
             help="In-flight ops failed because the worker link died.",
             worker=str(index),
         )
-        self._pump_task = asyncio.create_task(self._pump())
         self._read_task = asyncio.create_task(self._read_loop())
 
     def _latency_hist(self, op: str):
@@ -268,7 +303,7 @@ class _WorkerLink:
                 if asyncio.get_running_loop().time() >= deadline:
                     raise
                 await asyncio.sleep(0.05)
-        # Negotiate and validate before the pumps start, on the raw
+        # Negotiate and validate before the reader starts, on the raw
         # stream: worker id 0 is reserved for this one handshake.  Any
         # handshake failure closes the fresh connection — a raised
         # ModelError must not leak the socket.
@@ -330,6 +365,9 @@ class _WorkerLink:
     def forward(self, payload: dict, conn: _ClientConn, client_id) -> None:
         """Relay a client mutation: rewrite the id, queue the frame.
 
+        The caller has already checked the window, which bounds the
+        unflushed frames too: each one is an unanswered op.
+
         When the frame carries a trace context and the router has a
         sink, the relay re-parents it: a relay span id is minted, the
         forwarded frame's context names it (so the worker's dispatch
@@ -358,9 +396,7 @@ class _WorkerLink:
             conn, client_id, None, payload.get("op"), payload, t0, span
         )
         self._frames.inc()
-        self.outq.put_nowait(
-            encode_frame({**payload, "id": link_id}, self.codec)
-        )
+        self._push(encode_frame({**payload, "id": link_id}, self.codec))
 
     def call(self, op: str, _future: asyncio.Future | None = None, **fields):
         """A router-originated request; the future resolves to the raw frame.
@@ -378,7 +414,7 @@ class _WorkerLink:
         payload = request(op, link_id, **fields)
         self._pending[link_id] = (None, None, future, op, payload, t0, None)
         self._frames.inc()
-        self.outq.put_nowait(encode_frame(payload, self.codec))
+        self._push(encode_frame(payload, self.codec))
         return future
 
     async def call_checked(self, op: str, **fields) -> dict:
@@ -404,7 +440,7 @@ class _WorkerLink:
         body = {**payload, "id": link_id}
         if op in MUTATION_OPS:
             body["retry"] = True
-        self.outq.put_nowait(encode_frame(body, self.codec))
+        self._push(encode_frame(body, self.codec))
 
     def take_pending(self) -> list[tuple]:
         """Strip and return the unanswered ops, oldest (lowest id) first."""
@@ -412,66 +448,58 @@ class _WorkerLink:
         return [entry for _link_id, entry in sorted(pending.items())]
 
     # ------------------------------------------------------------------
-    # Pumps
+    # The reader: relay each worker reply to its client or caller
     # ------------------------------------------------------------------
-    async def _pump(self) -> None:
-        # Op coalescing: one writelines/drain per wakeup moves every
-        # frame queued since the last flush — under pipelined load the
-        # router amortises its worker-side syscalls across tenants.
-        while True:
-            batch: list[bytes] = []
-            await _drain_queue_into(self.outq, batch)
-            try:
-                self.writer.writelines(batch)
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                pass  # reader loop will observe the dead link and fail pending
-            finally:
-                for _ in batch:
-                    self.outq.task_done()
-
     async def _read_loop(self) -> None:
+        decoder = FrameDecoder()
         try:
             while True:
-                payload = await read_frame(self.reader)
-                if payload is None:
+                try:
+                    data = await self.reader.read(READ_BYTES)
+                except (ConnectionError, OSError):
+                    break
+                if not data:
                     break
                 if self._on_beat is not None:
-                    # Any frame off the link is proof of life — heartbeat
+                    # Any bytes off the link are proof of life — heartbeat
                     # replies and relayed responses alike feed liveness.
                     self._on_beat()
-                entry = self._pending.pop(payload.get("id"), None)
-                if entry is None:
-                    continue
-                conn, client_id, future, op, _payload, t0, span = entry
-                if self._metrics_on:
-                    self._latency_hist(op).observe(self._clock() - t0)
-                if span is not None:
-                    trace_id, span_id, parent, tenant, resource = span
-                    self._trace.span(
-                        op=op,
-                        tenant=tenant,
-                        resource=resource,
-                        request_id=client_id,
-                        t_enq=t0,
-                        t_disp=t0,
-                        t_reply=self._trace.clock(),
-                        trace=trace_id,
-                        span_id=span_id,
-                        parent=parent,
-                        kind="relay",
-                    )
-                if future is not None:
-                    if not future.done():
-                        future.set_result(payload)
-                else:
-                    response = dict(payload)
-                    response["id"] = client_id
-                    conn.send(response)
+                for payload in decoder.frames(data):
+                    entry = self._pending.pop(payload.get("id"), None)
+                    if entry is None:
+                        continue
+                    conn, client_id, future, op, _payload, t0, span = entry
+                    if self._metrics_on:
+                        self._latency_hist(op).observe(self._clock() - t0)
+                    if span is not None:
+                        trace_id, span_id, parent, tenant, resource = span
+                        self._trace.span(
+                            op=op,
+                            tenant=tenant,
+                            resource=resource,
+                            request_id=client_id,
+                            t_enq=t0,
+                            t_disp=t0,
+                            t_reply=self._trace.clock(),
+                            trace=trace_id,
+                            span_id=span_id,
+                            parent=parent,
+                            kind="relay",
+                        )
+                    if future is not None:
+                        if not future.done():
+                            future.set_result(payload)
+                    else:
+                        # Freshly decoded and referenced nowhere else:
+                        # the reply is rewritten in place.
+                        payload["id"] = client_id
+                        conn.settle(payload)
+        except ProtocolError:
+            pass  # an unparseable worker stream is a dead link
         finally:
-            # A supervised link hands its unanswered ops to the slot for
-            # resend after respawn; an unsupervised (or closing) one
-            # fails them, the pre-supervision behaviour.
+            # The slot decides what a dead link's unanswered ops become
+            # (resent after a respawn, or failed); a closing link fails
+            # them.
             if self._on_death is not None and not self._closing:
                 self._on_death()
             else:
@@ -487,16 +515,15 @@ class _WorkerLink:
                 if not future.done():
                     future.set_exception(ServeError("unavailable", why))
             else:
-                conn.send(error(client_id, "unavailable", why))
+                conn.settle(error(client_id, "unavailable", why))
 
     async def close(self) -> None:
         self._closing = True
-        for task in (self._pump_task, self._read_task):
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        self._read_task.cancel()
+        try:
+            await self._read_task
+        except (asyncio.CancelledError, Exception):
+            pass
         self.fail_pending(f"worker {self.index} link closed")
         self.writer.close()
         try:
@@ -509,8 +536,9 @@ class _WorkerSlot:
     """One worker's seat at the router: a link, supervised or not.
 
     Unsupervised (no ``respawn`` callback) the slot is a pass-through to
-    its link and a dead worker fails its in-flight ops, exactly the
-    pre-supervision contract.  Supervised, the slot owns recovery: on
+    its link, and a dead worker — EOF or an unparseable frame — fails its
+    in-flight ops and, from then on, every op routed to it with typed
+    ``unavailable``.  Supervised, the slot owns recovery: on
     link death it takes the unanswered ops, holds new frames in a
     bounded queue, restarts the worker through ``respawn`` (in an
     executor — it forks processes) with jittered exponential backoff,
@@ -525,7 +553,7 @@ class _WorkerSlot:
         "backoff_cap", "heartbeat_every", "heartbeat_timeout", "_held",
         "_registry", "_recover_task", "_heartbeat_task", "_closing",
         "_deaths", "_respawns", "_held_counter", "trace",
-        "respawns_done", "redriven_frames", "liveness",
+        "respawns_done", "redriven_frames", "liveness", "_gone",
     )
 
     def __init__(
@@ -557,6 +585,8 @@ class _WorkerSlot:
         self.retry_for = retry_for
         self.link: _WorkerLink | None = None
         self.state = "up"
+        #: Why a ``down`` slot refuses its traffic.
+        self._gone = ""
         self.respawn = respawn
         self.hold_limit = hold_limit
         self.max_respawns = max_respawns
@@ -604,7 +634,7 @@ class _WorkerSlot:
         self.link = await _WorkerLink.open(
             self.index, self.path, self.spec, retry_for=self.retry_for,
             codec=self.codec_pref, metrics=self._registry,
-            on_death=self._link_died if self.supervised else None,
+            on_death=self._link_died,
             on_beat=self._beat if self.liveness is not None else None,
             trace=self.trace,
         )
@@ -631,10 +661,7 @@ class _WorkerSlot:
         elif self.state == "recovering":
             self._hold(("forward", payload, conn, client_id))
         else:
-            raise ServeError(
-                "unavailable",
-                f"worker {self.index} is gone (respawn budget exhausted)",
-            )
+            raise ServeError("unavailable", self._gone)
 
     def call(self, op: str, **fields) -> asyncio.Future:
         if self.state == "up":
@@ -646,13 +673,7 @@ class _WorkerSlot:
             except ServeError as exc:
                 future.set_exception(exc)
         else:
-            future.set_exception(
-                ServeError(
-                    "unavailable",
-                    f"worker {self.index} is gone "
-                    f"(respawn budget exhausted)",
-                )
-            )
+            future.set_exception(ServeError("unavailable", self._gone))
         return future
 
     async def call_checked(self, op: str, **fields) -> dict:
@@ -686,7 +707,15 @@ class _WorkerSlot:
     # ------------------------------------------------------------------
     def _link_died(self) -> None:
         link = self.link
-        if link is None or self._closing:
+        if link is None:
+            return
+        if not self.supervised:
+            # Fail fast: the in-flight ops now, later traffic on arrival.
+            self.state = "down"
+            self._gone = f"worker {self.index} connection lost"
+            link.fail_pending(self._gone)
+            return
+        if self._closing:
             return
         self.link = None
         self.state = "recovering"
@@ -747,11 +776,11 @@ class _WorkerSlot:
                 self.state = "up"
                 return
             self.state = "down"
-            self._fail_all(
-                pending,
+            self._gone = (
                 f"worker {self.index} did not come back after "
-                f"{self.max_respawns} respawn attempts",
+                f"{self.max_respawns} respawn attempts"
             )
+            self._fail_all(pending, self._gone)
         except asyncio.CancelledError:
             self._fail_all(pending, "router is shutting down")
             raise
@@ -762,12 +791,12 @@ class _WorkerSlot:
                 if not future.done():
                     future.set_exception(ServeError("unavailable", why))
             else:
-                conn.send(error(client_id, "unavailable", why))
+                conn.settle(error(client_id, "unavailable", why))
         held, self._held = self._held, deque()
         for item in held:
             if item[0] == "forward":
                 _, payload, conn, client_id = item
-                conn.send(error(payload.get("id"), "unavailable", why))
+                conn.settle(error(client_id, "unavailable", why))
             else:
                 _, _op, _fields, future = item
                 if not future.done():
@@ -826,7 +855,8 @@ class ClusterRouter:
             heartbeat), the worker restarted with backoff, in-flight
             ops resent with the ``retry`` marker, and new frames held
             meanwhile.  ``None`` keeps the fail-fast contract: a dead
-            worker fails its in-flight ops as ``unavailable``.
+            worker fails its in-flight ops, and every later op routed
+            to it, as ``unavailable``.
         hold_limit: bound on frames held per recovering worker; beyond
             it new mutations draw ``backpressure`` refusals.
         max_respawns: respawn attempts per death before the worker is
@@ -957,7 +987,7 @@ class ClusterRouter:
                 await slot.open()
                 self._slots.append(slot)
         except BaseException:
-            # One bad worker must not strand the slots (and their pump
+            # One bad worker must not strand the slots (and their reader
             # tasks) already opened to the good ones.
             for slot in self._slots:
                 await slot.close()
@@ -1169,6 +1199,7 @@ class ClusterRouter:
                 f"(window {self.worker_window})",
             )
         slot.forward(payload, conn, request_id)
+        conn.relayed += 1
         return None
 
     async def _finish_tick(
@@ -1563,72 +1594,92 @@ class ClusterRouter:
             return self.profiler.snapshot()
 
     async def _handle_connection(self, reader, writer) -> None:
-        conn = _ClientConn(reader, writer)
+        conn = _ClientConn(writer)
         self._conns.add(conn)
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        inflight: set[asyncio.Task] = set()
+        decoder = FrameDecoder()
+        ticks: set[asyncio.Task] = set()
         try:
             while True:
                 try:
-                    payload = await read_frame(reader)
-                except ProtocolError as exc:
-                    conn.send(error(None, "protocol", str(exc)))
+                    data = await reader.read(READ_BYTES)
+                except (ConnectionError, OSError):
                     break
-                if payload is None:
+                if not data:
                     break
-                request_id = payload.get("id")
-                op = payload.get("op")
-                if op in MUTATION_OPS:
-                    # Routed synchronously in read order — ordering to
-                    # each worker is the read order, and refusals
-                    # (validation, draining, backpressure) answer
-                    # immediately.  Only tick spawns a gather task.
-                    try:
-                        tick_task = self._route_mutation(
-                            op, payload, request_id, conn
-                        )
-                    except ServeError as exc:
-                        conn.send(error(request_id, exc.kind, exc.message))
-                        continue
-                    if tick_task is not None:
-                        inflight.add(tick_task)
-                        tick_task.add_done_callback(inflight.discard)
-                    continue
-                if op == "hello":
-                    # An explicit `codec` field renegotiates; a bare
-                    # hello is introspection and keeps the current codec.
-                    if "codec" in payload:
-                        conn.codec_ref[0] = negotiate_codec(
-                            payload.get("codec")
-                        )
-                    result = self._hello()
-                    result["codec"] = conn.codec_ref[0]
-                    conn.send(ok(request_id, result))
-                    continue
-                if op == "shutdown":
-                    conn.send(ok(request_id, {"state": "stopped"}))
-                    self._shutdown_task = asyncio.create_task(self.shutdown())
-                    break
-                if op not in OPS:
-                    conn.send(
-                        error(
-                            request_id,
-                            "protocol",
-                            f"unknown op {op!r}; known: {', '.join(OPS)}",
-                        )
-                    )
-                    continue
+                hangup = False
                 try:
-                    result = await self._control(op, payload)
-                    conn.send(ok(request_id, result))
-                except ServeError as exc:
-                    conn.send(error(request_id, exc.kind, exc.message))
+                    for payload in decoder.frames(data):
+                        op = payload.get("op")
+                        if op not in MUTATION_OPS:
+                            if await self._answer(op, payload, conn):
+                                hangup = True
+                                break  # frames behind a shutdown go unanswered
+                            continue
+                        # Routed synchronously in read order — ordering to
+                        # each worker is the read order, and refusals
+                        # (validation, draining, backpressure) answer
+                        # immediately.  Only tick spawns a gather task.
+                        request_id = payload.get("id")
+                        try:
+                            tick_task = self._route_mutation(
+                                op, payload, request_id, conn
+                            )
+                        except ServeError as exc:
+                            conn.send(error(request_id, exc.kind, exc.message))
+                            continue
+                        if tick_task is not None:
+                            ticks.add(tick_task)
+                            tick_task.add_done_callback(ticks.discard)
+                except ProtocolError as exc:
+                    # The frames ahead of the violation are routed; the
+                    # stream is unparseable from here on, so it is named
+                    # and the connection hung up.
+                    conn.send(error(None, "protocol", str(exc)))
+                    hangup = True
+                if hangup:
+                    break
+                try:
+                    await writer.drain()
+                except (ConnectionError, RuntimeError, OSError):
+                    break
         finally:
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
+            if ticks:
+                await asyncio.gather(*ticks, return_exceptions=True)
             self._conns.discard(conn)
             if task is not None:
                 self._conn_tasks.discard(task)
             await conn.close()
+
+    async def _answer(self, op, payload: dict, conn: _ClientConn) -> bool:
+        """Answer one non-mutation frame; True when the connection ends."""
+        request_id = payload.get("id")
+        if op == "hello":
+            # An explicit `codec` field renegotiates; a bare hello is
+            # introspection and keeps the current codec.
+            if "codec" in payload:
+                conn.codec = negotiate_codec(payload.get("codec"))
+            result = self._hello()
+            result["codec"] = conn.codec
+            conn.send(ok(request_id, result))
+            return False
+        if op == "shutdown":
+            conn.send(ok(request_id, {"state": "stopped"}))
+            self._shutdown_task = asyncio.create_task(self.shutdown())
+            return True
+        if op not in OPS:
+            conn.send(
+                error(
+                    request_id,
+                    "protocol",
+                    f"unknown op {op!r}; known: {', '.join(OPS)}",
+                )
+            )
+            return False
+        try:
+            conn.send(ok(request_id, await self._control(op, payload)))
+        except ServeError as exc:
+            conn.send(error(request_id, exc.kind, exc.message))
+        return False

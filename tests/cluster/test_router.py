@@ -1,5 +1,6 @@
 """Router mechanics against in-process workers: topology math, hello,
-routing, barriers, drain, backpressure, and config validation.
+routing, barriers, drain, backpressure, config validation, the replies
+owed to a connection that ends, and worker streams that stop parsing.
 
 The workers here are real :class:`LeaseServer` instances on unix sockets
 inside the test's own event loop — the router cannot tell (the protocol
@@ -21,6 +22,8 @@ from repro.errors import ModelError
 from repro.obs import MetricsRegistry, parse_exposition, validate_exposition
 from repro.serve import AsyncLeaseClient, LeaseServer, ServeError
 from repro.serve.protocol import (
+    HEADER,
+    encode_frame,
     ok,
     read_frame,
     request,
@@ -259,8 +262,18 @@ class TestRouterMetrics:
         assert "cluster_relay_latency_seconds" not in families
 
 
-async def _stub_worker(path: str, spec: ClusterSpec, answer_mutations: bool):
-    """A fake worker: a valid hello, then (optionally) eternal silence."""
+#: One frame whose body is not JSON: an undecodable, unparseable stream.
+MALFORMED_FRAME = HEADER.pack(9) + b"{not json"
+
+
+async def _stub_worker(
+    path: str, spec: ClusterSpec, answer_mutations: bool,
+    malformed: bool = False,
+):
+    """A fake worker: a valid hello, then (optionally) eternal silence.
+
+    ``malformed`` answers every mutation with :data:`MALFORMED_FRAME`.
+    """
     schedule = spec.schedule()
     hello = {
         "server": "stub",
@@ -276,17 +289,23 @@ async def _stub_worker(path: str, spec: ClusterSpec, answer_mutations: bool):
     }
 
     async def handle(reader, writer):
-        while True:
-            payload = await read_frame(reader)
-            if payload is None:
-                break
-            if payload.get("op") == "hello":
-                await write_frame(writer, ok(payload.get("id"), hello))
-            elif answer_mutations:
-                await write_frame(
-                    writer, ok(payload.get("id"), {"applied_time": 0})
-                )
-            # else: swallow the frame — in-flight forever.
+        try:
+            while True:
+                payload = await read_frame(reader)
+                if payload is None:
+                    break
+                if payload.get("op") == "hello":
+                    await write_frame(writer, ok(payload.get("id"), hello))
+                elif malformed:
+                    writer.write(MALFORMED_FRAME)
+                    await writer.drain()
+                elif answer_mutations:
+                    await write_frame(
+                        writer, ok(payload.get("id"), {"applied_time": 0})
+                    )
+                # else: swallow the frame — in-flight forever.
+        finally:
+            writer.close()
 
     return await asyncio.start_unix_server(handle, path=path)
 
@@ -354,3 +373,191 @@ class TestBackpressureAndValidation:
 
         with pytest.raises(ModelError):
             asyncio.run(main())
+
+
+async def _read_until_eof(reader) -> list[dict]:
+    frames = []
+    while True:
+        payload = await read_frame(reader)
+        if payload is None:
+            return frames
+        frames.append(payload)
+
+
+class TestConnectionEnd:
+    """A connection that ends still gets the replies to the ops it had
+    already relayed, as a single server answers every frame it read."""
+
+    def test_half_closed_client_gets_every_pipelined_reply(self, workdir):
+        spec = ClusterSpec(8, 2, 1)
+
+        async def main():
+            _servers, paths = await _start_inprocess_workers(spec, workdir)
+            router = ClusterRouter(spec)
+            await router.connect_workers(paths)
+            router_sock = str(workdir / "router.sock")
+            await router.start_unix(router_sock)
+            reader, writer = await asyncio.open_unix_connection(router_sock)
+            writer.writelines(
+                encode_frame(request("acquire", i, tenant=f"t{i}",
+                                     resource=i % 8, time=0))
+                for i in range(200)
+            )
+            writer.write_eof()
+            frames = await asyncio.wait_for(_read_until_eof(reader), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            await router.shutdown()
+            return frames
+
+        frames = asyncio.run(main())
+        assert sorted(f["id"] for f in frames) == list(range(200))
+        assert all(f["ok"] for f in frames)
+
+    def test_frames_ahead_of_a_malformed_one_are_answered(self, workdir):
+        spec = ClusterSpec(8, 2, 1)
+
+        async def main():
+            _servers, paths = await _start_inprocess_workers(spec, workdir)
+            router = ClusterRouter(spec)
+            await router.connect_workers(paths)
+            router_sock = str(workdir / "router.sock")
+            await router.start_unix(router_sock)
+            reader, writer = await asyncio.open_unix_connection(router_sock)
+            writer.write(
+                b"".join(
+                    encode_frame(request("acquire", i, tenant="t",
+                                         resource=i * 3, time=0))
+                    for i in range(3)
+                )
+                + MALFORMED_FRAME
+            )
+            frames = await asyncio.wait_for(_read_until_eof(reader), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            await router.shutdown()
+            return frames
+
+        frames = asyncio.run(main())
+        assert sorted(f["id"] for f in frames if f["ok"]) == [0, 1, 2]
+        errors = [f for f in frames if not f["ok"]]
+        assert len(errors) == 1 and errors[0]["error"]["kind"] == "protocol"
+
+    def test_client_that_never_reads_stops_being_read(self, workdir):
+        """Replies to a client that never reads them must not pile up in
+        the router: its sends stall once the buffers between fill."""
+        spec = ClusterSpec(2, 1, 1)
+        frame = encode_frame(
+            request("acquire", 1, tenant="t", resource=0, time=0)
+        )
+        chunk = 256
+
+        async def main():
+            path = str(workdir / "stub.sock")
+            stub = await _stub_worker(path, spec, answer_mutations=True)
+            router = ClusterRouter(spec)
+            await router.connect_workers([path], codec="json")
+            router_sock = str(workdir / "router.sock")
+            await router.start_unix(router_sock)
+            _reader, writer = await asyncio.open_unix_connection(router_sock)
+            sent = 0
+            stalled = False
+            while sent < 50_000:
+                writer.write(frame * chunk)
+                sent += chunk
+                try:
+                    await asyncio.wait_for(writer.drain(), 1.0)
+                except asyncio.TimeoutError:
+                    stalled = True
+                    break
+            writer.transport.abort()
+            await router.shutdown()
+            stub.close()
+            return stalled, sent
+
+        stalled, sent = asyncio.run(main())
+        assert stalled, f"router read all {sent} frames of a non-reader"
+        assert sent < 40_000
+
+
+class TestWorkerProtocolError:
+    """An undecodable frame from a worker is the death of its link."""
+
+    def _spec_and_stubs(self):
+        spec = ClusterSpec(2, 2, 1)
+        bad = spec.worker_of(0)
+        assert spec.worker_of(1) != bad
+        return spec, bad
+
+    def test_unsupervised_fails_that_links_inflight_ops(self, workdir):
+        spec, bad = self._spec_and_stubs()
+
+        async def main():
+            paths = [str(workdir / f"w{i}.sock") for i in range(2)]
+            stubs = [
+                await _stub_worker(
+                    paths[i], spec, answer_mutations=True,
+                    malformed=i == bad,
+                )
+                for i in range(2)
+            ]
+            router = ClusterRouter(spec)
+            await router.connect_workers(paths, codec="json")
+            router_sock = str(workdir / "router.sock")
+            await router.start_unix(router_sock)
+            client = await AsyncLeaseClient.open_unix(router_sock)
+            try:
+                await asyncio.wait_for(client.acquire("t", 0, 0), 5.0)
+                failed = None
+            except ServeError as exc:
+                failed = exc
+            served = await asyncio.wait_for(client.acquire("t", 1, 0), 5.0)
+            try:
+                await asyncio.wait_for(client.acquire("t", 0, 1), 5.0)
+                later = None
+            except ServeError as exc:
+                later = exc
+            await client.close()
+            await asyncio.wait_for(router.shutdown(), 5.0)
+            for stub in stubs:
+                stub.close()
+            return failed, served, later
+
+        failed, served, later = asyncio.run(main())
+        assert failed is not None and failed.kind == "unavailable"
+        assert served["applied_time"] == 0
+        # The dead link's later traffic is refused at once, not stranded.
+        assert later is not None and later.kind == "unavailable"
+
+    def test_supervised_respawns_and_resends(self, workdir):
+        spec, bad = self._spec_and_stubs()
+
+        async def main():
+            paths = [str(workdir / f"w{i}.sock") for i in range(2)]
+            stubs = [
+                await _stub_worker(
+                    paths[i], spec, answer_mutations=True,
+                    malformed=i == bad,
+                )
+                for i in range(2)
+            ]
+            healthy = str(workdir / "successor.sock")
+            stubs.append(
+                await _stub_worker(healthy, spec, answer_mutations=True)
+            )
+            router = ClusterRouter(spec, respawn=lambda index: healthy)
+            await router.connect_workers(paths, codec="json")
+            router_sock = str(workdir / "router.sock")
+            await router.start_unix(router_sock)
+            client = await AsyncLeaseClient.open_unix(router_sock)
+            served = await asyncio.wait_for(client.acquire("t", 0, 0), 5.0)
+            respawns = router.route_epoch
+            await client.close()
+            await router.shutdown()
+            for stub in stubs:
+                stub.close()
+            return served, respawns
+
+        served, respawns = asyncio.run(main())
+        assert served["applied_time"] == 0
+        assert respawns == 1
